@@ -1,25 +1,43 @@
 #include "clib/crt.h"
 
-#include <cctype>
+#include <array>
 #include <cerrno>
 
 namespace ballista::clib {
 
 namespace {
 
-std::uint8_t classify_char(int c) {
+/// Classification bits of byte u under the "C" locale, the rules <cctype>
+/// applies when no setlocale() call has changed them: only 7-bit ASCII
+/// classifies, every byte from 0x80 up is 0.
+constexpr std::uint8_t classify_c_locale(unsigned u) {
+  const bool upper = u >= 'A' && u <= 'Z';
+  const bool lower = u >= 'a' && u <= 'z';
+  const bool digit = u >= '0' && u <= '9';
+  const bool print = u >= 0x20 && u < 0x7f;
   std::uint8_t bits = 0;
-  const unsigned char u = static_cast<unsigned char>(c);
-  if (std::isupper(u)) bits |= kCtUpper;
-  if (std::islower(u)) bits |= kCtLower;
-  if (std::isdigit(u)) bits |= kCtDigit;
-  if (std::isspace(u)) bits |= kCtSpace;
-  if (std::ispunct(u)) bits |= kCtPunct;
-  if (std::iscntrl(u)) bits |= kCtCntrl;
-  if (std::isxdigit(u)) bits |= kCtHex;
-  if (std::isprint(u)) bits |= kCtPrint;
+  if (upper) bits |= kCtUpper;
+  if (lower) bits |= kCtLower;
+  if (digit) bits |= kCtDigit;
+  if (u == ' ' || (u >= '\t' && u <= '\r')) bits |= kCtSpace;
+  if (print && u != ' ' && !upper && !lower && !digit) bits |= kCtPunct;
+  if (u < 0x20 || u == 0x7f) bits |= kCtCntrl;
+  if (digit || (u >= 'a' && u <= 'f') || (u >= 'A' && u <= 'F'))
+    bits |= kCtHex;
+  if (print) bits |= kCtPrint;
   return bits;
 }
+
+/// The simulated ctype table: entry 128 + c classifies c for c in
+/// [-128, 255], negative c as its unsigned-char twin (c & 0xff).
+constexpr std::size_t kCtypeSize = 384;
+constexpr std::array<std::uint8_t, kCtypeSize> kCtypeImage = [] {
+  std::array<std::uint8_t, kCtypeSize> t{};
+  for (int c = -128; c <= 255; ++c)
+    t[static_cast<std::size_t>(128 + c)] =
+        classify_c_locale(static_cast<unsigned>(c & 0xff));
+  return t;
+}();
 
 CrtState& build_state(sim::SimProcess& proc) {
   auto state = std::make_shared<CrtState>();
@@ -32,11 +50,9 @@ CrtState& build_state(sim::SimProcess& proc) {
   constexpr Addr kCtypeRegion = 0x7000'0000;
   const Addr page = kCtypeRegion;
   mem.map(page, sim::kPageSize, sim::kPermRW);
-  state->ctype_table = page + sim::kPageSize - 384;
-  for (int c = -128; c <= 255; ++c) {
-    mem.write_u8(state->ctype_table + 128 + c,
-                 classify_char(c & 0xff), sim::Access::kKernel);
-  }
+  state->ctype_table = page + sim::kPageSize - kCtypeSize;
+  // One span, one page: a single coalesced kPageWrite point.
+  mem.write_bytes(state->ctype_table, kCtypeImage, sim::Access::kKernel);
 
   // _iob region: room for 64 FILE structures.
   state->iob_base = mem.alloc(64 * kFileStructSize);
@@ -211,6 +227,16 @@ void CharWidth::put(CallContext& ctx, Addr a, std::uint64_t i,
     mem.write_u8(a + i, static_cast<std::uint8_t>(c), sim::Access::kUser);
   else
     mem.write_u16(a + 2 * i, static_cast<std::uint16_t>(c), sim::Access::kUser);
+}
+
+std::vector<std::uint8_t> gather_bytes(sim::AddressSpace& mem, Addr a,
+                                       std::uint64_t n) {
+  const std::uint64_t have =
+      mem.accessible_prefix(a, n, false, sim::Access::kUser);
+  if (have < n) (void)mem.read_u8(a + have, sim::Access::kUser);  // faults
+  std::vector<std::uint8_t> out(n);
+  mem.read_bytes(a, out, sim::Access::kUser);
+  return out;
 }
 
 std::uint32_t CharScanner::at(std::uint64_t i) {

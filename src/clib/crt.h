@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/execctx.h"
 #include "core/typelib.h"
@@ -122,6 +123,14 @@ struct CharWidth {
 };
 inline constexpr CharWidth kNarrow{1};
 inline constexpr CharWidth kWide{2};
+
+/// Reads [a, a+n) in user mode into a host buffer.  The buffer is sized by
+/// what is mapped, not by the (untrusted) length: when the range runs into
+/// inaccessible memory, the first inaccessible byte is touched before
+/// anything is allocated, so the fault lands at the address — and with the
+/// trace event — read_bytes would have produced.
+std::vector<std::uint8_t> gather_bytes(sim::AddressSpace& mem, Addr a,
+                                       std::uint64_t n);
 
 /// Page-buffered sequential character reader.  Access checks are
 /// page-granular, so buffering the page a character lands in (loaded lazily,

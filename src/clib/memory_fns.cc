@@ -163,10 +163,8 @@ CallOutcome do_memmove(CallContext& ctx) {
   const Addr dst = ctx.arg_addr(0), src = ctx.arg_addr(1);
   const std::uint64_t n = ctx.arg(2);
   auto& mem = ctx.proc().mem();
-  const std::uint64_t len = std::min(n, kScanCap);
   // Full gather then full scatter, as before (that is what makes it a move).
-  std::vector<std::uint8_t> tmp(len);
-  mem.read_bytes(src, tmp, sim::Access::kUser);
+  const auto tmp = gather_bytes(mem, src, std::min(n, kScanCap));
   mem.write_bytes(dst, tmp, sim::Access::kUser);
   return ok(dst);
 }

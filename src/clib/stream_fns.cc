@@ -10,6 +10,7 @@
 // testing: conversions that need a variadic argument fetch stack garbage,
 // modeled as address 0 — %s and %n therefore fault exactly as they did on
 // the real systems.
+#include <algorithm>
 #include <cerrno>
 #include <string>
 #include <vector>
@@ -50,12 +51,10 @@ bool store_bytes(CallContext& ctx, Addr a, std::span<const std::uint8_t> in) {
 std::vector<std::uint8_t> load_bytes(CallContext& ctx, Addr a,
                                      std::uint64_t n) {
   n = std::min(n, kIoCap);
+  if (ctx.hazard() == core::CrashStyle::kNone)
+    return gather_bytes(ctx.proc().mem(), a, n);
   std::vector<std::uint8_t> out(n);
-  if (ctx.hazard() != core::CrashStyle::kNone) {
-    (void)ctx.k_read(a, out);
-    return out;
-  }
-  ctx.proc().mem().read_bytes(a, out, sim::Access::kUser);
+  (void)ctx.k_read(a, out);
   return out;
 }
 
@@ -66,10 +65,10 @@ CallOutcome fread_impl(CallContext& ctx) {
   if (ref.status != FileRef::Status::kOk) return core::error_reported(0);
   if (size == 0 || n == 0) return ok(0);
   maybe_block_on_stdin(ctx, ref);
-  const std::uint64_t total = std::min(size * n, kIoCap);
-  std::vector<std::uint8_t> data(total);
+  // Staging holds what the file can deliver, not the untrusted request.
+  std::vector<std::uint8_t> data(
+      std::min({size * n, kIoCap, ref.obj->remaining()}));
   const std::uint64_t got = ref.obj->read_at(data);
-  data.resize(got);
   store_bytes(ctx, ptr, data);
   return ok(got / size);
 }

@@ -197,14 +197,15 @@ CallOutcome do_strftime(CallContext& ctx) {
   const std::int32_t mday = tm_read(ctx, tm, kTmMday);
 
   std::string out;
+  CharScanner chars(ctx, fmt, kNarrow);
   for (std::uint64_t i = 0; i < 4096; ++i) {
-    const std::uint8_t c = mem.read_u8(fmt + i, sim::Access::kUser);
+    const auto c = static_cast<std::uint8_t>(chars.at(i));
     if (c == 0) break;
     if (c != '%') {
       out.push_back(static_cast<char>(c));
       continue;
     }
-    const std::uint8_t conv = mem.read_u8(fmt + ++i, sim::Access::kUser);
+    const auto conv = static_cast<std::uint8_t>(chars.at(++i));
     char tmp[32];
     switch (conv) {
       case 'Y': std::snprintf(tmp, sizeof tmp, "%d", 1900 + year); break;

@@ -27,8 +27,11 @@ std::unique_ptr<Page> AddressSpace::take_page() {
   if (free_pages_.empty()) return std::make_unique<Page>();
   auto p = std::move(free_pages_.back());
   free_pages_.pop_back();
-  p->data.fill(0);  // recycled pages must look freshly allocated
-  p->dirty = false;
+  // Recycled pages must look freshly allocated; a clean one already does.
+  if (p->dirty) {
+    p->data.fill(0);
+    p->dirty = false;
+  }
   return p;
 }
 
@@ -53,6 +56,7 @@ void AddressSpace::map(Addr start, std::uint64_t size, std::uint8_t perm,
 void AddressSpace::unmap(Addr start, std::uint64_t size) {
   if (hub_ != nullptr)
     hub_->notify(MutationKind::kPageUnmap, page_of(start));
+  flush_tlb();
   const Addr first = page_of(start);
   const Addr last = page_of(start + (size ? size - 1 : 0));
   for (Addr pg = first; pg <= last; ++pg) {
@@ -64,6 +68,7 @@ void AddressSpace::unmap(Addr start, std::uint64_t size) {
 }
 
 void AddressSpace::reset() {
+  flush_tlb();
   for (auto& [pg, page] : pages_) retire_page(std::move(page));
   pages_.clear();
   bump_ = kBumpBase;
@@ -82,6 +87,7 @@ void AddressSpace::restore() {
     reset();
     return;
   }
+  flush_tlb();
   for (auto it = pages_.begin(); it != pages_.end();) {
     const auto cp = image_.find(it->first);
     if (cp == image_.end()) {
@@ -181,14 +187,19 @@ Addr AddressSpace::alloc_dangling(std::uint64_t size) {
   return base;
 }
 
+Page* AddressSpace::private_page(Addr pg) const noexcept {
+  if (tlb_pg_ == pg) return tlb_page_;
+  auto it = pages_.find(pg);
+  if (it == pages_.end()) return nullptr;
+  tlb_pg_ = pg;
+  tlb_page_ = it->second.get();
+  return tlb_page_;
+}
+
 Page* AddressSpace::page_for(Addr a, Access m, bool write) const {
-  auto it = pages_.find(page_of(a));
-  Page* p = nullptr;
-  if (it != pages_.end()) {
-    p = it->second.get();
-  } else if (arena_ != nullptr && arena_->contains(a)) {
+  Page* p = private_page(page_of(a));
+  if (p == nullptr && arena_ != nullptr && arena_->contains(a))
     p = arena_->page(a);
-  }
   if (p == nullptr) fault(FaultType::kAccessViolation, a, write);
   if (m == Access::kUser) {
     if (p->kernel_only) fault(FaultType::kAccessViolation, a, write);
@@ -360,26 +371,28 @@ void AddressSpace::write_cstr(Addr a, std::string_view s, Access m) {
 
 bool AddressSpace::check_range(Addr a, std::uint64_t size, bool write,
                                Access m) const noexcept {
-  if (size == 0) return true;
-  const Addr first = page_base(a);
-  const Addr last = page_base(a + size - 1);
-  for (Addr pg = first;; pg += kPageSize) {
-    auto it = pages_.find(page_of(pg));
-    const Page* p = nullptr;
-    if (it != pages_.end()) {
-      p = it->second.get();
-    } else if (arena_ != nullptr && arena_->contains(pg)) {
-      // The arena is demand-created; treat it as present for probing.
-      return m == Access::kKernel;
+  if (accessible_prefix(a, size, write, m) != size) return false;
+  return !(strict_align_ && size >= 2 && size <= 8 && (a % size) != 0);
+}
+
+std::uint64_t AddressSpace::accessible_prefix(Addr a, std::uint64_t size,
+                                              bool write,
+                                              Access m) const noexcept {
+  std::uint64_t done = 0;
+  while (done < size) {
+    const Addr addr = a + done;
+    const Page* p = private_page(page_of(addr));
+    if (p == nullptr) {
+      // The arena is demand-created; a kernel probe treats it as present.
+      if (arena_ != nullptr && arena_->contains(addr) && m == Access::kKernel)
+        return size;
+      return done;
     }
-    if (p == nullptr) return false;
-    if (m == Access::kUser && p->kernel_only) return false;
-    if (write && (p->perm & kPermWrite) == 0) return false;
-    if (!write && (p->perm & kPermRead) == 0) return false;
-    if (pg == last) break;
+    if (m == Access::kUser && p->kernel_only) return done;
+    if ((p->perm & (write ? kPermWrite : kPermRead)) == 0) return done;
+    done += std::min<std::uint64_t>(kPageSize - addr % kPageSize, size - done);
   }
-  if (strict_align_ && size >= 2 && size <= 8 && (a % size) != 0) return false;
-  return true;
+  return size;
 }
 
 }  // namespace ballista::sim

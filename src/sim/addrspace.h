@@ -65,7 +65,9 @@ struct Page {
   /// Written since the owning space's checkpoint().  The restore() fast path
   /// re-zeroes exactly the dirty pages, so an untouched 64 KiB stack costs
   /// nothing to recycle.  Every mutation funnels through
-  /// AddressSpace::write_u8, the one place that sets this.
+  /// AddressSpace::write_u8/write_bytes, the only places that set this, and
+  /// every place that clears it re-zeroes the page first: a clean page is
+  /// all-zero, which is what lets take_page() skip the fill.
   bool dirty = false;
   std::array<std::uint8_t, kPageSize> data{};
 };
@@ -183,6 +185,16 @@ class AddressSpace {
   bool check_range(Addr a, std::uint64_t size, bool write,
                    Access m = Access::kKernel) const noexcept;
 
+  /// Length of the longest prefix of [a, a+size) that passes the same
+  /// page-by-page checks as check_range (one walker serves both).  In user
+  /// mode this is exactly how far read_bytes/write_bytes get before they
+  /// fault, so a caller can size host staging by what is really mapped and
+  /// then touch byte a+prefix to fault where the full transfer would have.
+  /// Kernel mode keeps the probe rules: a demand-created arena page counts as
+  /// present together with the rest of the range.
+  std::uint64_t accessible_prefix(Addr a, std::uint64_t size, bool write,
+                                  Access m = Access::kKernel) const noexcept;
+
   bool strict_alignment() const noexcept { return strict_align_; }
   SharedArena* arena() const noexcept { return arena_; }
 
@@ -201,6 +213,11 @@ class AddressSpace {
 
  private:
   Page* page_for(Addr a, Access m, bool write) const;
+  /// The private page with page number `pg`, or nullptr.  Looks in the
+  /// one-entry TLB first and refills it on a hit in pages_.
+  Page* private_page(Addr pg) const noexcept;
+  /// Drops the TLB entry; called wherever a private page can leave pages_.
+  void flush_tlb() noexcept { tlb_pg_ = kNoPage; }
   [[noreturn]] void fault(FaultType t, Addr a, bool write) const;
   void check_alignment(Addr a, std::uint64_t size, bool write) const;
   /// A zeroed page, reusing a free-listed one when available.
@@ -213,6 +230,14 @@ class AddressSpace {
   static constexpr std::size_t kMaxFreePages = 256;
 
   std::unordered_map<Addr, std::unique_ptr<Page>> pages_;
+  /// One-entry TLB over pages_: page number -> Page*.  Private pages only —
+  /// arena pages belong to the SharedArena, whose clear() frees them on
+  /// reboot behind this space's back.  A private Page stays at one address
+  /// for as long as it is in pages_ (map() and protect() keep the node), so
+  /// only unmap(), reset() and restore() flush.
+  static constexpr Addr kNoPage = ~Addr{0};  // no address has this page number
+  mutable Addr tlb_pg_ = kNoPage;
+  mutable Page* tlb_page_ = nullptr;
   std::vector<std::unique_ptr<Page>> free_pages_;
   /// page number -> (perm, kernel_only) at checkpoint time.
   std::unordered_map<Addr, std::pair<std::uint8_t, bool>> image_;

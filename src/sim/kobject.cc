@@ -16,12 +16,17 @@ void KernelObject::set_signaled(bool s) {
   signaled_ = s;
 }
 
-std::uint64_t FileObject::read_at(std::span<std::uint8_t> out) {
+std::uint64_t FileObject::remaining() const noexcept {
   if (node_ == nullptr || node_->is_dir()) return 0;
-  const auto& data = node_->data();
-  if (pos_ >= data.size()) return 0;
-  const std::uint64_t n = std::min<std::uint64_t>(out.size(), data.size() - pos_);
-  std::copy_n(data.begin() + static_cast<std::ptrdiff_t>(pos_), n, out.begin());
+  const std::uint64_t size = node_->data().size();
+  return pos_ < size ? size - pos_ : 0;
+}
+
+std::uint64_t FileObject::read_at(std::span<std::uint8_t> out) {
+  const std::uint64_t n = std::min<std::uint64_t>(out.size(), remaining());
+  if (n == 0) return 0;
+  std::copy_n(node_->data().begin() + static_cast<std::ptrdiff_t>(pos_), n,
+              out.begin());
   pos_ += n;
   return n;
 }

@@ -99,6 +99,8 @@ class FileObject final : public KernelObject {
   static constexpr std::uint32_t kAccessRead = 1;
   static constexpr std::uint32_t kAccessWrite = 2;
 
+  /// Bytes a read from the current position could deliver.
+  std::uint64_t remaining() const noexcept;
   /// Reads from the current position, advancing it; returns bytes read.
   std::uint64_t read_at(std::span<std::uint8_t> out);
   /// Writes at the current position (end when in append mode), growing the

@@ -1,6 +1,8 @@
 // Unit tests for the simulated address space and MMU fault behaviour.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "sim/addrspace.h"
 
 namespace ballista::sim {
@@ -184,6 +186,125 @@ TEST(AddressSpace, WithoutArenaLowAndHighAddressesFault) {
   AddressSpace mem;  // NT/Linux style: no shared arena
   EXPECT_THROW(mem.read_u8(0x100, Access::kKernel), SimFault);
   EXPECT_THROW(mem.read_u8(kSharedArenaBase, Access::kKernel), SimFault);
+}
+
+// --- one-entry TLB coherence ------------------------------------------------
+// Each test first reads the page so the TLB holds it, then changes the
+// mapping behind it; the next access must see the new mapping.
+
+TEST(AddressSpaceTlb, UnmapOfJustReadPageFaults) {
+  AddressSpace mem;
+  mem.map(0x40000, kPageSize, kPermRW);
+  EXPECT_EQ(mem.read_u8(0x40010), 0);
+  mem.unmap(0x40000, kPageSize);
+  EXPECT_THROW(mem.read_u8(0x40010), SimFault);
+  EXPECT_THROW(mem.write_u8(0x40010, 1), SimFault);
+}
+
+TEST(AddressSpaceTlb, RestoreDropsPageThePreviousCaseMapped) {
+  AddressSpace mem;
+  mem.map(0x7fe0'0000, kPageSize, kPermRW);
+  mem.checkpoint();
+  const Addr a = mem.alloc(64);  // mapped by "the case"
+  mem.write_u8(a, 7);
+  EXPECT_EQ(mem.read_u8(a), 7);
+  mem.restore();
+  EXPECT_THROW(mem.read_u8(a), SimFault);
+  // The next case's allocation reuses the address on a fresh zero page.
+  EXPECT_EQ(mem.alloc(64), a);
+  EXPECT_EQ(mem.read_u8(a), 0);
+}
+
+TEST(AddressSpaceTlb, RemappedPageReadsZero) {
+  AddressSpace mem;
+  mem.map(0x40000, kPageSize, kPermRW);
+  mem.write_u8(0x40020, 0xAB);
+  EXPECT_EQ(mem.read_u8(0x40020), 0xAB);
+  mem.unmap(0x40000, kPageSize);
+  mem.map(0x40000, kPageSize, kPermRW);
+  EXPECT_EQ(mem.read_u8(0x40020), 0);
+}
+
+TEST(AddressSpaceTlb, ResetThenMapReadsZero) {
+  AddressSpace mem;
+  mem.map(0x40000, kPageSize, kPermRW);
+  mem.write_u8(0x40020, 0xAB);
+  EXPECT_EQ(mem.read_u8(0x40020), 0xAB);
+  mem.reset();
+  EXPECT_THROW(mem.read_u8(0x40020), SimFault);
+  mem.map(0x40000, kPageSize, kPermRW);
+  EXPECT_EQ(mem.read_u8(0x40020), 0);
+}
+
+TEST(AddressSpaceTlb, ProtectAfterCachedHitStillFaultsUserWrite) {
+  AddressSpace mem;
+  mem.map(0x40000, kPageSize, kPermRW);
+  mem.write_u8(0x40000, 5);  // cached as writable
+  mem.protect(0x40000, kPageSize, kPermRead);
+  EXPECT_THROW(mem.write_u8(0x40000, 6), SimFault);
+  EXPECT_EQ(mem.read_u8(0x40000), 5);
+  mem.protect(0x40000, kPageSize, kPermNone);
+  EXPECT_THROW(mem.read_u8(0x40000), SimFault);
+}
+
+TEST(AddressSpaceTlb, KernelWriteAfterArenaClearLandsOnFreshPage) {
+  SharedArena arena;
+  AddressSpace mem(&arena), other(&arena);
+  const Addr a = kSharedArenaBase + 0x100;
+  mem.write_u8(a, 1, Access::kKernel);
+  EXPECT_EQ(mem.read_u8(a, Access::kKernel), 1);
+  arena.clear();  // a reboot frees every arena page
+  EXPECT_EQ(mem.read_u8(a, Access::kKernel), 0);
+  mem.write_u8(a, 2, Access::kKernel);
+  EXPECT_EQ(arena.page(a)->data[a % kPageSize], 2);
+  EXPECT_EQ(other.read_u8(a, Access::kKernel), 2);
+}
+
+// --- free-listed pages --------------------------------------------------------
+
+/// True when every byte of the page at `base` reads as zero.
+bool page_is_zero(const AddressSpace& mem, Addr base) {
+  std::array<std::uint8_t, kPageSize> buf{};
+  mem.read_bytes(base, buf, Access::kKernel);
+  for (const std::uint8_t b : buf)
+    if (b != 0) return false;
+  return true;
+}
+
+TEST(AddressSpaceFreeList, WrittenPageReadsZeroWhenTakenAgain) {
+  AddressSpace mem;
+  mem.map(0x40000, kPageSize, kPermRW);
+  std::array<std::uint8_t, kPageSize> ones;
+  ones.fill(0xFF);
+  mem.write_bytes(0x40000, ones);
+  mem.unmap(0x40000, kPageSize);       // retired dirty
+  mem.map(0x90000, kPageSize, kPermRW);  // takes it back off the free list
+  EXPECT_TRUE(page_is_zero(mem, 0x90000));
+}
+
+TEST(AddressSpaceFreeList, NeverWrittenPageReadsZeroWhenTakenAgain) {
+  AddressSpace mem;
+  mem.map(0x40000, kPageSize, kPermRW);
+  EXPECT_EQ(mem.read_u8(0x40000), 0);
+  mem.unmap(0x40000, kPageSize);  // retired clean
+  mem.map(0x90000, kPageSize, kPermRW);
+  EXPECT_TRUE(page_is_zero(mem, 0x90000));
+}
+
+TEST(AddressSpaceFreeList, PagesRetiredByRestoreReadZero) {
+  AddressSpace mem;
+  mem.map(0x7fe0'0000, kPageSize, kPermRW);
+  mem.checkpoint();
+  // Two case pages: one written, one only read.
+  mem.map(0x40000, 2 * kPageSize, kPermRW);
+  mem.write_u8(0x40000 + 17, 0x5A);
+  EXPECT_EQ(mem.read_u8(0x41000), 0);
+  mem.write_u8(0x7fe0'0000, 0x33);  // a checkpointed page the case dirtied
+  mem.restore();
+  EXPECT_TRUE(page_is_zero(mem, 0x7fe0'0000));
+  mem.map(0x90000, 2 * kPageSize, kPermRW);
+  EXPECT_TRUE(page_is_zero(mem, 0x90000));
+  EXPECT_TRUE(page_is_zero(mem, 0x91000));
 }
 
 }  // namespace

@@ -3,7 +3,13 @@
 // through direct dispatch so results (not just classifications) are visible.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <clocale>
+#include <string>
+#include <vector>
+
 #include "clib/crt.h"
+#include "core/trace.h"
 #include "tests/test_util.h"
 
 namespace ballista::clib {
@@ -255,6 +261,84 @@ TEST_F(ClibFixture, ReallocPreservesPrefix) {
   proc->mem().write_cstr(a.ret, "seven!!", sim::Access::kKernel);
   const auto b = call("realloc", {a.ret, 64});
   EXPECT_EQ(str_at(b.ret), "seven!!");
+}
+
+// --- the CRT image ----------------------------------------------------------
+
+TEST(CrtImage, CtypeTableMatchesCLocaleClassification) {
+  std::setlocale(LC_ALL, "C");
+  sim::Machine machine(OsVariant::kLinux);
+  auto proc = machine.acquire_process();
+  const CrtState& st = crt_state(*proc);
+  const auto& mem = proc->mem();
+  for (int c = -128; c <= 255; ++c) {
+    const auto u = static_cast<unsigned char>(c);
+    std::uint8_t want = 0;
+    if (std::isupper(u)) want |= kCtUpper;
+    if (std::islower(u)) want |= kCtLower;
+    if (std::isdigit(u)) want |= kCtDigit;
+    if (std::isspace(u)) want |= kCtSpace;
+    if (std::ispunct(u)) want |= kCtPunct;
+    if (std::iscntrl(u)) want |= kCtCntrl;
+    if (std::isxdigit(u)) want |= kCtHex;
+    if (std::isprint(u)) want |= kCtPrint;
+    EXPECT_EQ(mem.read_u8(st.ctype_table + static_cast<Addr>(128 + c),
+                          sim::Access::kUser),
+              want)
+        << "c = " << c;
+  }
+  // table[256] is the first byte of the guard page after the table.
+  const Addr past = st.ctype_table + 128 + 256;
+  EXPECT_EQ(past % sim::kPageSize, 0u);
+  EXPECT_THROW(mem.read_u8(past, sim::Access::kUser), sim::SimFault);
+  EXPECT_THROW(mem.read_u8(past, sim::Access::kKernel), sim::SimFault);
+}
+
+/// Renders the mutation points announced while one CRT is built.
+std::vector<std::string> crt_build_points(OsVariant v) {
+  sim::Machine machine(v);
+  auto proc = machine.acquire_process();
+  machine.trace().clear();
+  machine.mutations().set_counting(true);
+  machine.mutations().open_window();
+  crt_state(*proc);
+  std::vector<std::string> out;
+  for (const auto& ev : machine.trace().tail())
+    if (ev.kind == trace::EventKind::kMutationPoint)
+      out.push_back(trace::render(ev));
+  EXPECT_EQ(machine.mutations().seq(), out.size());
+  return out;
+}
+
+// Pinned from the byte-at-a-time table build: the ctype image is one map and
+// one coalesced page write, then _iob, the static buffers and three FILEs.
+TEST(CrtImage, BuildAnnouncesTheSameMutationPoints) {
+  auto expected = [](const char* h1, const char* h2, const char* h3) {
+    return std::vector<std::string>{
+        "mutation point #1 page_map detail=0x70000",
+        "mutation point #2 page_write detail=0x70000",
+        "mutation point #3 page_map detail=0x100",
+        "mutation point #4 page_map detail=0x102",
+        "mutation point #5 page_map detail=0x104",
+        std::string("mutation point #6 handle_create detail=") + h1,
+        "mutation point #7 page_map detail=0x106",
+        "mutation point #8 page_map detail=0x108",
+        "mutation point #9 page_write detail=0x100",
+        std::string("mutation point #10 handle_create detail=") + h2,
+        "mutation point #11 page_map detail=0x10a",
+        "mutation point #12 page_map detail=0x10c",
+        "mutation point #13 page_write detail=0x100",
+        std::string("mutation point #14 handle_create detail=") + h3,
+        "mutation point #15 page_map detail=0x10e",
+        "mutation point #16 page_map detail=0x110",
+        "mutation point #17 page_write detail=0x100",
+    };
+  };
+  EXPECT_EQ(crt_build_points(OsVariant::kWinNT4),
+            expected("0x10", "0x14", "0x18"));
+  EXPECT_EQ(crt_build_points(OsVariant::kWin98),
+            expected("0x10", "0x14", "0x18"));
+  EXPECT_EQ(crt_build_points(OsVariant::kLinux), expected("0x3", "0x4", "0x5"));
 }
 
 }  // namespace

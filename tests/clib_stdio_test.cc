@@ -58,6 +58,11 @@ struct BadFileCase {
   Outcome ce;
 };
 
+// Print a case by its value name. The default printer dumps the struct's
+// bytes, which hold a load-address-dependent pointer and padding, so the
+// test names would change from build to build.
+void PrintTo(const BadFileCase& c, std::ostream* os) { *os << c.value; }
+
 class BadFilePointer : public ::testing::TestWithParam<BadFileCase> {};
 
 TEST_P(BadFilePointer, EachCrtHandlesItsWay) {
