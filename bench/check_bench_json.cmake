@@ -1,9 +1,10 @@
 # Validates the BENCH_*.json contract (invoked by the bench_json_contract
 # ctest entry).  Runs bench_net and bench_rpc in WORK_DIR so reports exist,
-# then requires every BENCH_*.json found there to be parseable JSON carrying
-# a string "bench" key — the shape the plotting/tooling side consumes.
+# then requires every BENCH_*.json found there, and every committed one in
+# ROOT_DIR (the source root) when given, to be parseable JSON carrying a
+# string "bench" key — the shape the plotting/tooling side consumes.
 if(NOT DEFINED BENCH_NET OR NOT DEFINED WORK_DIR)
-  message(FATAL_ERROR "usage: cmake -DBENCH_NET=<bin> -DBENCH_RPC=<bin> -DWORK_DIR=<dir> -P check_bench_json.cmake")
+  message(FATAL_ERROR "usage: cmake -DBENCH_NET=<bin> -DBENCH_RPC=<bin> -DWORK_DIR=<dir> [-DROOT_DIR=<dir>] -P check_bench_json.cmake")
 endif()
 
 execute_process(COMMAND ${BENCH_NET}
@@ -28,6 +29,13 @@ file(GLOB reports "${WORK_DIR}/BENCH_*.json")
 list(LENGTH reports count)
 if(count EQUAL 0)
   message(FATAL_ERROR "no BENCH_*.json produced in ${WORK_DIR}")
+endif()
+if(DEFINED ROOT_DIR)
+  file(GLOB committed "${ROOT_DIR}/BENCH_*.json")
+  if(NOT committed)
+    message(FATAL_ERROR "no committed BENCH_*.json in ${ROOT_DIR}")
+  endif()
+  list(APPEND reports ${committed})
 endif()
 
 foreach(report IN LISTS reports)

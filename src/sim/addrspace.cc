@@ -23,6 +23,41 @@ Page* SharedArena::page(Addr a) {
   return it->second.get();
 }
 
+namespace {
+
+/// The one range walker behind protect() and unmap(): calls `act(page)` on
+/// every page of `pages` in the page span of [start, start+size) and erases
+/// the page when `act` returns true.  Costs O(min(pages in span, mapped
+/// pages)).
+template <class Act>
+void for_each_in_range(
+    std::unordered_map<Addr, std::unique_ptr<Page>>& pages, Addr start,
+    std::uint64_t size, Act act) {
+  // The page span map() covers, computed the same way: an end that wraps
+  // past 2^64 lands below `first` and the span is empty (or, for a size
+  // within a page of 2^64, back on `first` and the span is that one page).
+  const Addr first = page_of(start);
+  const Addr last = page_of(start + (size ? size - 1 : 0));
+  if (last < first) return;
+  if (last - first + 1 >= pages.size()) {
+    // Huge range (an exceptional size like 0xFFFFFFFF): visit what is mapped
+    // instead of probing every page number in the span.
+    for (auto it = pages.begin(); it != pages.end();) {
+      if (it->first >= first && it->first <= last && act(it->second))
+        it = pages.erase(it);
+      else
+        ++it;
+    }
+    return;
+  }
+  for (Addr pg = first; pg <= last; ++pg) {
+    auto it = pages.find(pg);
+    if (it != pages.end() && act(it->second)) pages.erase(it);
+  }
+}
+
+}  // namespace
+
 std::unique_ptr<Page> AddressSpace::take_page() {
   if (free_pages_.empty()) return std::make_unique<Page>();
   auto p = std::move(free_pages_.back());
@@ -57,14 +92,10 @@ void AddressSpace::unmap(Addr start, std::uint64_t size) {
   if (hub_ != nullptr)
     hub_->notify(MutationKind::kPageUnmap, page_of(start));
   flush_tlb();
-  const Addr first = page_of(start);
-  const Addr last = page_of(start + (size ? size - 1 : 0));
-  for (Addr pg = first; pg <= last; ++pg) {
-    auto it = pages_.find(pg);
-    if (it == pages_.end()) continue;
-    retire_page(std::move(it->second));
-    pages_.erase(it);
-  }
+  for_each_in_range(pages_, start, size, [this](std::unique_ptr<Page>& page) {
+    retire_page(std::move(page));
+    return true;
+  });
 }
 
 void AddressSpace::reset() {
@@ -122,12 +153,10 @@ void AddressSpace::restore() {
 void AddressSpace::protect(Addr start, std::uint64_t size, std::uint8_t perm) {
   if (hub_ != nullptr)
     hub_->notify(MutationKind::kPageProtect, page_of(start));
-  const Addr first = page_of(start);
-  const Addr last = page_of(start + (size ? size - 1 : 0));
-  for (Addr pg = first; pg <= last; ++pg) {
-    auto it = pages_.find(pg);
-    if (it != pages_.end()) it->second->perm = perm;
-  }
+  for_each_in_range(pages_, start, size, [perm](std::unique_ptr<Page>& page) {
+    page->perm = perm;
+    return false;
+  });
 }
 
 bool AddressSpace::is_mapped(Addr a) const noexcept {

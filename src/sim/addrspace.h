@@ -117,8 +117,13 @@ class AddressSpace {
   // --- mapping -------------------------------------------------------------
 
   /// Maps [start, start+size) with the given permissions (page granular).
+  /// Creates every page in the range, so callers bound `size` (the Win32 and
+  /// POSIX memory calls cap it at their kVmLimit).
   void map(Addr start, std::uint64_t size, std::uint8_t perm,
            bool kernel_only = false);
+  /// Unmaps the pages of [start, start+size).  Like protect(), it costs the
+  /// mapped pages it can touch, not the length asked for: a 4 GiB size on a
+  /// space of a few dozen pages is a few dozen steps.
   void unmap(Addr start, std::uint64_t size);
 
   /// Returns the space to its just-constructed state (no mappings, bump
@@ -138,6 +143,8 @@ class AddressSpace {
   /// are squared back, and the bump allocator rewinds.  Without a prior
   /// checkpoint this degenerates to reset().
   void restore();
+  /// Sets the permissions of the mapped pages of [start, start+size), in
+  /// O(min(pages in range, mapped pages)).
   void protect(Addr start, std::uint64_t size, std::uint8_t perm);
   bool is_mapped(Addr a) const noexcept;
   /// Permission byte of the page containing `a`, or kPermNone if unmapped.

@@ -236,5 +236,46 @@ TEST_F(PosixFixture, MprotectReadOnlyBlocksWrites) {
                sim::SimFault);
 }
 
+// mprotect and munmap clamp a length to the 256 MiB VM limit: every mapped
+// page in [addr, addr + 256 MiB) changes, nothing at or past the limit does.
+constexpr std::uint64_t kVmLimit = 256ull << 20;
+constexpr sim::Addr kStackPage = 0x7FEF'0000;  // lowest stack page
+
+TEST_F(PosixFixture, MprotectClampsHugeLengthToVmLimit) {
+  auto& mem = proc->mem();
+  const sim::Addr below = mem.alloc(sim::kPageSize);
+  const auto a = call("mmap", {0, 8192, 3, 0x22,
+                               static_cast<RawArg>(-1) & 0xffffffffull, 0});
+  ASSERT_EQ(a.status, core::CallStatus::kSuccess);
+  const sim::Addr after = mem.alloc(sim::kPageSize);
+  const sim::Addr limit = a.ret + kVmLimit;
+  mem.map(limit - sim::kPageSize, 2 * sim::kPageSize, sim::kPermRW);
+  EXPECT_EQ(call("mprotect", {a.ret, 0xFFFF'FFFF, 1 /*PROT_READ*/}).ret, 0u);
+  for (const sim::Addr p :
+       {a.ret, a.ret + sim::kPageSize, after, limit - sim::kPageSize})
+    EXPECT_EQ(mem.perm_of(p), sim::kPermRead) << std::hex << p;
+  for (const sim::Addr p : {below, limit, kStackPage})
+    EXPECT_EQ(mem.perm_of(p), sim::kPermRW) << std::hex << p;
+}
+
+TEST_F(PosixFixture, MunmapClampsHugeLengthToVmLimit) {
+  auto& mem = proc->mem();
+  const sim::Addr below = mem.alloc(sim::kPageSize);
+  const auto a = call("mmap", {0, 8192, 3, 0x22,
+                               static_cast<RawArg>(-1) & 0xffffffffull, 0});
+  ASSERT_EQ(a.status, core::CallStatus::kSuccess);
+  const sim::Addr after = mem.alloc(sim::kPageSize);
+  const sim::Addr limit = a.ret + kVmLimit;
+  mem.map(limit - sim::kPageSize, 2 * sim::kPageSize, sim::kPermRW);
+  const std::size_t pages = mem.mapped_page_count();
+  EXPECT_EQ(call("munmap", {a.ret, 0x8000'0000}).ret, 0u);
+  EXPECT_EQ(mem.mapped_page_count(), pages - 4);
+  for (const sim::Addr p :
+       {a.ret, a.ret + sim::kPageSize, after, limit - sim::kPageSize})
+    EXPECT_FALSE(mem.is_mapped(p)) << std::hex << p;
+  for (const sim::Addr p : {below, limit, kStackPage})
+    EXPECT_TRUE(mem.is_mapped(p)) << std::hex << p;
+}
+
 }  // namespace
 }  // namespace ballista::posix_api

@@ -385,5 +385,95 @@ TEST(Win95Subset, TheTenMissingCalls) {
   }
 }
 
+// --- exceptional sizes over mapped ranges --------------------------------------
+// VirtualProtect and VirtualFree get sizes like 0xFFFFFFFF and 0x80000000
+// from the size pools.  Each call must act on exactly the mapped pages the
+// range covers, and announce one persistence point however long it is.
+
+class VirtualRange : public ::testing::Test {
+ protected:
+  static constexpr sim::Addr kStackPage = 0x7FEF'0000;  // lowest stack page
+
+  // Pages, low to high: the out-parameter, a two-page buffer, one page past
+  // the buffer's guard, the process stack, and a page just past buf + 2 GiB.
+  VirtualRange() : machine(OsVariant::kWinNT4) {
+    proc = machine.create_process();
+    old_out = mem().alloc(4);
+    buf = mem().alloc(2 * sim::kPageSize);
+    after = mem().alloc(sim::kPageSize);
+    far = buf + 0x8000'0000;
+    mem().map(far, sim::kPageSize, sim::kPermRW);
+  }
+
+  sim::AddressSpace& mem() { return proc->mem(); }
+
+  core::CallOutcome call(const char* name, std::vector<core::RawArg> args) {
+    const core::MuT* mut = shared_world().registry.find(name);
+    EXPECT_NE(mut, nullptr) << name;
+    last_args = std::move(args);
+    core::CallContext ctx(machine, *proc, *mut, last_args);
+    machine.kernel_enter();
+    return mut->impl(ctx);
+  }
+
+  sim::Machine machine;
+  std::unique_ptr<sim::SimProcess> proc;
+  std::vector<core::RawArg> last_args;
+  sim::Addr old_out = 0, buf = 0, after = 0, far = 0;
+};
+
+TEST_F(VirtualRange, ProtectSizeNeg1ReachesEveryLaterMapping) {
+  const auto r = call("VirtualProtect",
+                      {buf, 0xFFFF'FFFF, 0x02 /*PAGE_READONLY*/, old_out});
+  ASSERT_EQ(r.status, core::CallStatus::kSuccess);
+  for (const sim::Addr a : {buf, buf + sim::kPageSize, after, kStackPage, far})
+    EXPECT_EQ(mem().perm_of(a), sim::kPermRead) << std::hex << a;
+  EXPECT_EQ(mem().perm_of(old_out), sim::kPermRW);
+  EXPECT_FALSE(mem().is_mapped(buf + 2 * sim::kPageSize));  // guard stays out
+}
+
+TEST_F(VirtualRange, ProtectSizeHalfmaxStopsAtTwoGigabytes) {
+  const std::size_t pages = mem().mapped_page_count();
+  const auto r = call("VirtualProtect",
+                      {buf, 0x8000'0000, 0x02 /*PAGE_READONLY*/, old_out});
+  ASSERT_EQ(r.status, core::CallStatus::kSuccess);
+  for (const sim::Addr a : {buf, buf + sim::kPageSize, after, kStackPage})
+    EXPECT_EQ(mem().perm_of(a), sim::kPermRead) << std::hex << a;
+  EXPECT_EQ(mem().perm_of(far), sim::kPermRW);
+  EXPECT_EQ(mem().perm_of(old_out), sim::kPermRW);
+  EXPECT_EQ(mem().mapped_page_count(), pages);
+}
+
+TEST_F(VirtualRange, DecommitSizeNeg1DropsEveryLaterMapping) {
+  const auto r = call("VirtualFree", {buf, 0xFFFF'FFFF, 0x4000 /*DECOMMIT*/});
+  ASSERT_EQ(r.status, core::CallStatus::kSuccess);
+  EXPECT_EQ(mem().mapped_page_count(), 1u);  // only the page below buf
+  EXPECT_TRUE(mem().is_mapped(old_out));
+  for (const sim::Addr a : {buf, buf + sim::kPageSize, after, kStackPage, far})
+    EXPECT_FALSE(mem().is_mapped(a)) << std::hex << a;
+}
+
+TEST_F(VirtualRange, DecommitSizeHalfmaxKeepsMappingsPastTwoGigabytes) {
+  const auto r = call("VirtualFree", {buf, 0x8000'0000, 0x4000 /*DECOMMIT*/});
+  ASSERT_EQ(r.status, core::CallStatus::kSuccess);
+  EXPECT_EQ(mem().mapped_page_count(), 2u);
+  EXPECT_TRUE(mem().is_mapped(old_out));
+  EXPECT_TRUE(mem().is_mapped(far));
+  EXPECT_EQ(mem().read_u8(far), 0);
+  for (const sim::Addr a : {buf, buf + sim::kPageSize, after, kStackPage})
+    EXPECT_FALSE(mem().is_mapped(a)) << std::hex << a;
+}
+
+TEST_F(VirtualRange, HugeRangeIsOnePersistencePoint) {
+  auto& hub = machine.mutations();
+  hub.set_counting(true);
+  hub.open_window();
+  call("VirtualProtect", {buf, 0xFFFF'FFFF, 0x02, old_out});
+  call("VirtualFree", {buf, 0xFFFF'FFFF, 0x4000});
+  hub.close_window();
+  EXPECT_EQ(hub.count(sim::MutationKind::kPageProtect), 1u);
+  EXPECT_EQ(hub.count(sim::MutationKind::kPageUnmap), 1u);
+}
+
 }  // namespace
 }  // namespace ballista::win32
