@@ -144,11 +144,12 @@ struct CampaignOptions {
   /// a shard executes: returning non-null substitutes the cached outcome and
   /// skips execution entirely (the --resume path; cached shards do NOT fire
   /// on_shard_complete).  `on_shard_complete` fires once per *executed*
-  /// shard as soon as its worker finishes — calls are serialized by the
-  /// engine, but arrive in completion order, which is schedule-dependent;
-  /// only the merged result is deterministic.  An exception thrown from
-  /// on_shard_complete aborts the campaign (it propagates out of
-  /// Campaign::run), which is exactly how a dying log writer should behave.
+  /// shard soon after its worker finishes — calls run on the thread that
+  /// called Campaign::run, one at a time, in completion order, which is
+  /// schedule-dependent; only the merged result is deterministic.  An
+  /// exception thrown from on_shard_complete aborts the campaign (it
+  /// propagates out of Campaign::run), which is exactly how a dying log
+  /// writer should behave.
   std::function<const ShardOutcome*(const Shard&)> shard_cache;
   std::function<void(const ShardOutcome&)> on_shard_complete;
 };

@@ -1,11 +1,9 @@
 #include "core/crashplan.h"
 
 #include <algorithm>
-#include <exception>
-#include <mutex>
 #include <set>
+#include <span>
 #include <sstream>
-#include <thread>
 
 #include "core/executor.h"
 #include "core/generator.h"
@@ -77,6 +75,61 @@ std::string first_violation(sim::Machine& m) {
   return bad;
 }
 
+/// The crash dimension's per-case sequence, shared by the campaign and the
+/// standalone repro so `repro --cut` repeats exactly what the campaign did.
+/// A counting pass fixes the case's persistence-point count N; `pick(N,
+/// per-kind counts)` returns the k values to test.  For each k: arm a cut at
+/// point k, re-execute, disarm, reboot if the machine went down, and hand
+/// `record(k, verdict, detail)` the verdict.  The executor's own kCaseReset
+/// puts the counting pass and every armed pass on identical machine state,
+/// which is what makes the sequence numbers line up.  Returns the reboots
+/// performed.
+template <class Pick, class Record>
+std::int64_t cut_case(sim::Machine& machine, Executor& executor,
+                      const MuT& mut, std::span<const TestValue* const> tuple,
+                      std::uint64_t index, Pick&& pick, Record&& record) {
+  sim::MutationHub& hub = machine.mutations();
+  std::int64_t reboots = 0;
+  const auto run = [&] {
+    executor.run_case(mut, tuple, static_cast<std::int64_t>(index));
+  };
+  const auto reboot_if_crashed = [&] {
+    if (!machine.crashed()) return;
+    machine.restore(sim::RestoreLevel::kReboot);
+    ++reboots;
+  };
+
+  hub.reset_counts();
+  hub.set_counting(true);
+  run();
+  hub.set_counting(false);
+  const std::uint64_t points = hub.seq();
+  const std::vector<std::uint64_t> cuts = pick(points, hub.counts());
+  reboot_if_crashed();  // the case crashed organically
+
+  for (const std::uint64_t k : cuts) {
+    hub.reset_counts();
+    hub.arm(sim::FaultPlan{k});
+    run();
+    const std::uint64_t fired = hub.cut_fired_at();
+    hub.disarm();
+    reboot_if_crashed();
+    if (fired != k) {
+      std::ostringstream os;
+      os << "armed cut at point " << k << " fired at " << fired
+         << " (counting pass saw " << points << " points)";
+      record(k, CrashVerdict::kNoCut, os.str());
+    } else {
+      std::string detail = first_violation(machine);
+      const CrashVerdict verdict = detail.empty()
+                                       ? CrashVerdict::kConsistent
+                                       : CrashVerdict::kInconsistent;
+      record(k, verdict, std::move(detail));
+    }
+  }
+  return reboots;
+}
+
 }  // namespace
 
 std::string_view crash_verdict_name(CrashVerdict v) noexcept {
@@ -125,7 +178,6 @@ CrashShardOutcome run_crash_shard(sim::Machine& machine, const Shard& shard,
   CrashShardOutcome out;
   out.shard_index = shard.index;
   Executor executor(machine);
-  sim::MutationHub& hub = machine.mutations();
 
   for (const ShardItem& item : shard.items) {
     out.partials.push_back({item.mut_index, item.range.first, {}});
@@ -136,51 +188,15 @@ CrashShardOutcome run_crash_shard(sim::Machine& machine, const Shard& shard,
     const std::uint64_t end = item.range.first + item.range.count;
 
     for (std::uint64_t i = item.range.first; i < end; ++i) {
-      const auto tuple = gen.tuple(i);
-
-      // Counting pass: fixes the persistence-point count N for this case.
-      // The executor's own kCaseReset puts every pass (this one and each
-      // armed re-execution) on identical machine state, which is what makes
-      // the sequence numbers line up.
-      hub.reset_counts();
-      hub.set_counting(true);
-      executor.run_case(*item.mut, tuple, static_cast<std::int64_t>(i));
-      hub.set_counting(false);
-      const std::uint64_t points = hub.seq();
-      ++stats.cases_counted;
-      stats.points_total += points;
-      for (std::size_t k = 0; k < sim::kMutationKindCount; ++k)
-        stats.point_counts[k] += hub.counts()[k];
-      if (machine.crashed()) {  // the case crashed organically
-        machine.restore(sim::RestoreLevel::kReboot);
-        ++out.reboots;
-      }
-
-      for (const std::uint64_t k : select_cuts(points, opt.max_cuts)) {
-        hub.reset_counts();
-        hub.arm(sim::FaultPlan{k});
-        executor.run_case(*item.mut, tuple, static_cast<std::int64_t>(i));
-        const std::uint64_t fired = hub.cut_fired_at();
-        hub.disarm();
-
-        CrashVerdict verdict;
-        std::string detail;
-        if (machine.crashed()) {
-          machine.restore(sim::RestoreLevel::kReboot);
-          ++out.reboots;
-        }
-        if (fired != k) {
-          verdict = CrashVerdict::kNoCut;
-          std::ostringstream os;
-          os << "armed cut at point " << k << " fired at " << fired
-             << " (counting pass saw " << points << " points)";
-          detail = os.str();
-        } else {
-          detail = first_violation(machine);
-          verdict = detail.empty() ? CrashVerdict::kConsistent
-                                   : CrashVerdict::kInconsistent;
-        }
-
+      const auto pick = [&](std::uint64_t points, const auto& kinds) {
+        ++stats.cases_counted;
+        stats.points_total += points;
+        for (std::size_t k = 0; k < sim::kMutationKindCount; ++k)
+          stats.point_counts[k] += kinds[k];
+        return select_cuts(points, opt.max_cuts);
+      };
+      const auto record = [&](std::uint64_t k, CrashVerdict verdict,
+                              std::string detail) {
         ++stats.cuts_tested;
         ++out.cuts_tested;
         switch (verdict) {
@@ -196,11 +212,13 @@ CrashShardOutcome run_crash_shard(sim::Machine& machine, const Shard& shard,
         }
         if (verdict != CrashVerdict::kConsistent)
           stats.findings.push_back({i, k, verdict, std::move(detail)});
-      }
+      };
+      out.reboots +=
+          cut_case(machine, executor, *item.mut, gen.tuple(i), i, pick, record);
     }
   }
   // Leave the pooled machine mode-clean for its next checkout.
-  hub.full_reset();
+  machine.mutations().full_reset();
   return out;
 }
 
@@ -251,101 +269,32 @@ CrashCampaignResult run_crash_engine(sim::OsVariant variant,
                                      const Registry& registry,
                                      const CrashOptions& opt) {
   const Plan plan = crash_plan_for(variant, registry, opt);
-
-  const unsigned jobs = std::max(
-      1u, std::min<unsigned>(
-              opt.jobs, plan.shards.empty()
-                            ? 1u
-                            : static_cast<unsigned>(plan.shards.size())));
-  std::vector<CrashShardOutcome> outcomes(plan.shards.size());
-
-  const auto cached = [&](const Shard& s) -> const CrashShardOutcome* {
-    return opt.shard_cache ? opt.shard_cache(s) : nullptr;
-  };
-
-  if (jobs == 1) {
-    MachinePool pool(variant, 1);
-    for (const Shard& s : plan.shards) {
-      if (const CrashShardOutcome* c = cached(s)) {
-        outcomes[s.index] = *c;
-        continue;
-      }
-      outcomes[s.index] = run_crash_shard(pool.checkout(0), s, opt);
-      if (opt.on_shard_complete) opt.on_shard_complete(outcomes[s.index]);
-    }
-  } else {
-    MachinePool pool(variant, jobs);
-    ShardQueue queue(plan, jobs);
-    std::mutex complete_mu;
-    std::vector<std::exception_ptr> errors(jobs);
-    std::vector<std::thread> workers;
-    workers.reserve(jobs);
-    for (unsigned w = 0; w < jobs; ++w) {
-      workers.emplace_back([&, w] {
-        try {
-          while (const Shard* s = queue.next(w)) {
-            if (const CrashShardOutcome* c = cached(*s)) {
-              outcomes[s->index] = *c;
-              continue;
-            }
-            outcomes[s->index] = run_crash_shard(pool.checkout(w), *s, opt);
-            if (opt.on_shard_complete) {
-              std::lock_guard<std::mutex> lock(complete_mu);
-              opt.on_shard_complete(outcomes[s->index]);
-            }
-          }
-        } catch (...) {
-          errors[w] = std::current_exception();
-        }
-      });
-    }
-    for (auto& t : workers) t.join();
-    for (auto& e : errors)
-      if (e) std::rethrow_exception(e);
-  }
-  return merge_crash_outcomes(plan, std::move(outcomes));
+  return merge_crash_outcomes(
+      plan, execute_plan<CrashShardOutcome>(plan, opt, run_crash_shard));
 }
 
 CrashVerdict crash_probe_case(sim::OsVariant variant, const MuT& mut,
                               std::uint64_t case_index, std::uint64_t cut_at,
                               std::uint64_t cap, std::uint64_t seed,
                               std::string* detail) {
-  sim::Machine machine(variant);
-  Executor executor(machine);
-  sim::MutationHub& hub = machine.mutations();
   TupleGenerator gen(mut, cap, seed);
   if (case_index >= gen.count()) {
     if (detail) *detail = "case index beyond the generator's count";
     return CrashVerdict::kNoCut;
   }
-  const auto tuple = gen.tuple(case_index);
-
-  hub.reset_counts();
-  hub.set_counting(true);
-  executor.run_case(mut, tuple, static_cast<std::int64_t>(case_index));
-  hub.set_counting(false);
-  const std::uint64_t points = hub.seq();
-  if (machine.crashed()) machine.restore(sim::RestoreLevel::kReboot);
-
-  hub.reset_counts();
-  hub.arm(sim::FaultPlan{cut_at});
-  executor.run_case(mut, tuple, static_cast<std::int64_t>(case_index));
-  const std::uint64_t fired = hub.cut_fired_at();
-  hub.disarm();
-  if (machine.crashed()) machine.restore(sim::RestoreLevel::kReboot);
-
-  if (fired != cut_at) {
-    if (detail) {
-      std::ostringstream os;
-      os << "armed cut at point " << cut_at << " fired at " << fired
-         << " (counting pass saw " << points << " points)";
-      *detail = os.str();
-    }
-    return CrashVerdict::kNoCut;
-  }
-  std::string bad = first_violation(machine);
-  if (detail) *detail = bad;
-  return bad.empty() ? CrashVerdict::kConsistent : CrashVerdict::kInconsistent;
+  sim::Machine machine(variant);
+  Executor executor(machine);
+  CrashVerdict verdict = CrashVerdict::kNoCut;
+  cut_case(
+      machine, executor, mut, gen.tuple(case_index), case_index,
+      [cut_at](std::uint64_t, const auto&) {
+        return std::vector<std::uint64_t>{cut_at};
+      },
+      [&](std::uint64_t, CrashVerdict v, std::string d) {
+        verdict = v;
+        if (detail) *detail = std::move(d);
+      });
+  return verdict;
 }
 
 std::string diff_crash_results(const CrashCampaignResult& a,

@@ -9,12 +9,14 @@
 //   plan      crash_plan_for builds a core::Plan directly — one ShardItem per
 //             case-range slice, NO hazard chaining: every cut ends in a
 //             reboot, so each case is trivially a clean shard boundary.
-//   schedule  the same MachinePool / ShardQueue; run_crash_engine mirrors
-//             run_engine's jobs==1 and threaded paths.
+//   schedule  the shared executor (core/sched execute_plan): the same
+//             MachinePool, ShardQueue and calling-thread completion hook as
+//             run_engine, at every jobs value.
 //   execute   run_crash_shard: per case, a counting pass (MutationHub in
 //             counting mode) fixes the point count N; then for each selected
 //             k <= N: checkpointed state -> arm(FaultPlan{k}) -> run ->
-//             restore(kReboot) -> verify invariants.
+//             restore(kReboot) -> verify invariants.  crash_probe_case runs
+//             the same per-case routine for one k.
 //   merge     merge_crash_outcomes folds per-shard results in plan order, so
 //             the merged CrashCampaignResult is identical for any --jobs.
 //
@@ -88,8 +90,11 @@ struct CrashMutStats {
   std::vector<CutRecord> findings;
 };
 
+struct CrashCampaignResult;
+
 /// What one worker produced from one crash shard; mirrors ShardOutcome.
 struct CrashShardOutcome {
+  using Result = CrashCampaignResult;  // what merge_crash_outcomes folds into
   struct MutPartial {
     std::size_t mut_index = 0;
     std::uint64_t range_first = 0;
@@ -112,7 +117,9 @@ struct CrashOptions {
   std::uint64_t max_cuts = 16;
   unsigned jobs = 1;
   std::uint64_t shard_cases = 2048;
-  /// Persistent-store hooks, same contract as CampaignOptions'.
+  /// Persistent-store hooks, same contract as CampaignOptions': the cache is
+  /// consulted on worker threads, the completion hook runs on the calling
+  /// thread, and a throw from it stops the campaign and propagates.
   std::function<const CrashShardOutcome*(const Shard&)> shard_cache;
   std::function<void(const CrashShardOutcome&)> on_shard_complete;
 };

@@ -259,16 +259,107 @@ Plan plan_for(sim::OsVariant variant, const Registry& registry,
 namespace {
 
 /// Wait-free completion hand-off: each worker appends finished shard indices
-/// to its own ring and publishes with a release store; the engine thread is
+/// to its own ring and publishes with a release store; the calling thread is
 /// the only consumer.  Capacity is the full shard count, so a producer can
 /// never block or wrap.
 struct CompletionRing {
   std::vector<std::size_t> slots;
   alignas(64) std::atomic<std::size_t> published{0};
-  std::size_t drained = 0;  // engine-thread-only cursor
+  std::size_t drained = 0;  // calling-thread-only cursor
 };
 
 }  // namespace
+
+ExecuteStats execute(std::size_t shards, unsigned jobs,
+                     const ShardTasks& tasks) {
+  jobs = static_cast<unsigned>(
+      std::max<std::size_t>(1, std::min<std::size_t>(jobs, shards)));
+  ShardQueue queue(shards, jobs);
+  std::vector<CompletionRing> rings(tasks.done ? jobs : 0);
+  for (CompletionRing& r : rings) r.slots.resize(shards);
+  std::atomic<bool> stop{false};
+  std::atomic<unsigned> active{jobs};
+  // Bumped after every publish and every worker exit; the calling thread
+  // sleeps on it instead of polling once its own share is done.
+  std::atomic<std::uint32_t> signal{0};
+  const auto wake = [&signal] {
+    signal.fetch_add(1);
+    signal.notify_one();
+  };
+
+  // Calling thread only: it is the rings' sole consumer, so `done` calls are
+  // serialized without a lock and never run on a spawned worker.  A throwing
+  // hook aborts the campaign: stop the queue, join, rethrow.
+  std::exception_ptr hook_error;
+  const auto drain = [&] {
+    for (CompletionRing& r : rings) {
+      const std::size_t pub = r.published.load(std::memory_order_acquire);
+      while (r.drained < pub && !hook_error) {
+        try {
+          tasks.done(r.slots[r.drained]);
+        } catch (...) {
+          hook_error = std::current_exception();
+          stop.store(true, std::memory_order_relaxed);
+        }
+        ++r.drained;
+      }
+    }
+  };
+
+  // Worker 0 is the calling thread, which drains the rings after each of its
+  // own shards; workers 1..jobs-1 are threads.  So jobs = 1 starts none and
+  // reports each shard before claiming the next, in plan order.
+  std::vector<std::exception_ptr> errors(jobs);
+  const auto worker = [&](unsigned w) {
+    try {
+      while (!stop.load(std::memory_order_relaxed)) {
+        const std::optional<std::size_t> i = queue.next(w);
+        if (!i) break;
+        if (tasks.cached && tasks.cached(*i)) continue;
+        tasks.run(w, *i);
+        if (tasks.done) {
+          CompletionRing& r = rings[w];
+          const std::size_t n = r.published.load(std::memory_order_relaxed);
+          r.slots[n] = *i;
+          r.published.store(n + 1, std::memory_order_release);
+          if (w == 0)
+            drain();
+          else
+            wake();
+        }
+      }
+    } catch (...) {
+      errors[w] = std::current_exception();
+      stop.store(true, std::memory_order_relaxed);
+    }
+    active.fetch_sub(1);
+    wake();
+  };
+  std::vector<std::thread> threads;
+  threads.reserve(jobs - 1);
+  try {
+    for (unsigned w = 1; w < jobs; ++w) threads.emplace_back(worker, w);
+  } catch (...) {  // thread creation failed: stop and join what started
+    stop.store(true, std::memory_order_relaxed);
+    for (std::thread& t : threads) t.join();
+    throw;
+  }
+  worker(0);
+  if (tasks.done) {
+    for (;;) {
+      const std::uint32_t seen = signal.load();
+      const bool final_pass = active.load() == 0;
+      drain();
+      if (hook_error || final_pass) break;
+      signal.wait(seen);
+    }
+  }
+  for (std::thread& t : threads) t.join();
+  for (const std::exception_ptr& e : errors)
+    if (e) std::rethrow_exception(e);
+  if (hook_error) std::rethrow_exception(hook_error);
+  return {jobs, queue.contended_steals()};
+}
 
 CampaignResult run_engine(sim::OsVariant variant, const Registry& registry,
                           const CampaignOptions& opt) {
@@ -280,104 +371,8 @@ CampaignResult run_engine(sim::OsVariant variant, const Registry& registry,
   const Plan plan = plan_for(variant, registry, opt);
   const auto t_planned = Clock::now();
 
-  const unsigned jobs =
-      std::max(1u, std::min<unsigned>(
-                       opt.jobs, plan.shards.empty()
-                                     ? 1u
-                                     : static_cast<unsigned>(
-                                           plan.shards.size())));
-  std::vector<ShardOutcome> outcomes(plan.shards.size());
-
-  // Resume support: a cached shard is adopted wholesale and never re-run (or
-  // re-reported through on_shard_complete — it is already in the log).
-  const auto cached = [&](const Shard& s) -> const ShardOutcome* {
-    return opt.shard_cache ? opt.shard_cache(s) : nullptr;
-  };
-
-  std::uint64_t contended_steals = 0;
-  std::uint64_t machine_rebuilds = 0;
-
-  if (jobs == 1) {
-    MachinePool pool(variant, 1);
-    for (const Shard& s : plan.shards) {
-      if (const ShardOutcome* c = cached(s)) {
-        outcomes[s.index] = *c;
-        continue;
-      }
-      outcomes[s.index] = run_shard(pool.checkout(0), s, opt);
-      if (opt.on_shard_complete) opt.on_shard_complete(outcomes[s.index]);
-    }
-    machine_rebuilds = pool.machine_rebuilds();
-  } else {
-    MachinePool pool(variant, jobs);
-    ShardQueue queue(plan, jobs);
-    std::vector<CompletionRing> rings(jobs);
-    if (opt.on_shard_complete)
-      for (auto& r : rings) r.slots.resize(plan.shards.size());
-    std::atomic<unsigned> active{jobs};
-    std::atomic<bool> stop{false};
-    std::vector<std::exception_ptr> errors(jobs);
-    std::vector<std::thread> workers;
-    workers.reserve(jobs);
-    for (unsigned w = 0; w < jobs; ++w) {
-      workers.emplace_back([&, w] {
-        try {
-          while (const Shard* s = queue.next(w)) {
-            if (stop.load(std::memory_order_relaxed)) break;
-            if (const ShardOutcome* c = cached(*s)) {
-              outcomes[s->index] = *c;
-              continue;
-            }
-            outcomes[s->index] = run_shard(pool.checkout(w), *s, opt);
-            if (opt.on_shard_complete) {
-              CompletionRing& r = rings[w];
-              const std::size_t n =
-                  r.published.load(std::memory_order_relaxed);
-              r.slots[n] = s->index;
-              r.published.store(n + 1, std::memory_order_release);
-            }
-          }
-        } catch (...) {
-          errors[w] = std::current_exception();
-        }
-        active.fetch_sub(1, std::memory_order_release);
-      });
-    }
-
-    // The engine thread drains completion rings while workers run, replacing
-    // the old per-worker critical section: workers publish and move on, and
-    // on_shard_complete calls stay serialized because this is the sole
-    // consumer.  A throwing hook aborts the campaign: stop the workers,
-    // join, rethrow.
-    std::exception_ptr hook_error;
-    if (opt.on_shard_complete) {
-      for (;;) {
-        const bool final_pass =
-            active.load(std::memory_order_acquire) == 0;
-        for (CompletionRing& r : rings) {
-          const std::size_t pub = r.published.load(std::memory_order_acquire);
-          while (r.drained < pub && !hook_error) {
-            try {
-              opt.on_shard_complete(outcomes[r.slots[r.drained]]);
-            } catch (...) {
-              hook_error = std::current_exception();
-              stop.store(true, std::memory_order_relaxed);
-            }
-            ++r.drained;
-          }
-          if (hook_error) break;
-        }
-        if (hook_error || final_pass) break;
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      }
-    }
-    for (auto& t : workers) t.join();
-    for (auto& e : errors)
-      if (e) std::rethrow_exception(e);
-    if (hook_error) std::rethrow_exception(hook_error);
-    contended_steals = queue.contended_steals();
-    machine_rebuilds = pool.machine_rebuilds();
-  }
+  std::vector<ShardOutcome> outcomes =
+      execute_plan<ShardOutcome>(plan, opt, run_shard, opt.metrics);
 
   const auto t_executed = Clock::now();
   CampaignResult result = merge_outcomes(plan, std::move(outcomes));
@@ -386,9 +381,6 @@ CampaignResult run_engine(sim::OsVariant variant, const Registry& registry,
     opt.metrics->execute_seconds = seconds(t_planned, t_executed);
     opt.metrics->merge_seconds = seconds(t_executed, Clock::now());
     opt.metrics->shards = plan.shards.size();
-    opt.metrics->jobs = jobs;
-    opt.metrics->contended_steals = contended_steals;
-    opt.metrics->machine_rebuilds = machine_rebuilds;
   }
   return result;
 }

@@ -1,11 +1,17 @@
 // Scheduling, execution and merge layers of the campaign engine.
 //
 //   plan      (core/plan)      enumerate shards, no machine involved
-//   schedule  (core/workqueue) per-worker Chase–Lev deques + seeded stealing;
-//             (this file)      MachinePool + std::thread workers; jobs = 1
-//                              degenerates to the exact legacy sequential
-//                              order
-//   execute   (this file)      run_shard mirrors the legacy single-machine
+//   schedule  (core/workqueue) per-worker Chase–Lev deques + seeded stealing
+//   execute   (this file)      execute(): the one shard executor — N
+//                              workers (the calling thread plus N-1
+//                              threads) over a ShardQueue of shard indices,
+//                              per-worker completion rings drained by the
+//                              calling thread.  Base campaigns, crash
+//                              campaigns and the campaign server's batches
+//                              all run through it, at every jobs value; one
+//                              worker pops its deque in plan order, so jobs
+//                              = 1 is the exact sequential schedule.
+//                              run_shard mirrors the legacy single-machine
 //                              loop (crash blame, reboot bookkeeping, repro
 //                              pass) on one pooled machine
 //   merge     (this file)      fold per-shard MutStats back into a
@@ -20,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -33,6 +40,7 @@ namespace ballista::core {
 /// What one worker produced from one shard.  Partial MutStats are folded
 /// back into the CampaignResult by merge_outcomes.
 struct ShardOutcome {
+  using Result = CampaignResult;  // what merge_outcomes folds these into
   struct MutPartial {
     std::size_t mut_index = 0;
     std::uint64_t range_first = 0;
@@ -102,6 +110,70 @@ class MachinePool {
   unsigned workers_ = 0;
   std::vector<Slot> slots_;
 };
+
+/// The three callbacks execute() drives.  `cached` and `run` are called by
+/// the workers, concurrently when jobs > 1 (worker 0 is the calling thread);
+/// `done` only on the thread that called execute(), one call at a time.
+struct ShardTasks {
+  /// Optional.  True when shard i's outcome is already known (a resume-cache
+  /// hit): the shard is then neither run nor reported to `done`.
+  std::function<bool(std::size_t i)> cached;
+  /// Executes shard i on worker slot `worker` (< the effective job count).
+  std::function<void(unsigned worker, std::size_t i)> run;
+  /// Optional.  Fires once per shard `run` executed, in completion order
+  /// (plan order at jobs = 1).  A throw stops the queue; execute() joins the
+  /// workers and rethrows it.
+  std::function<void(std::size_t i)> done;
+};
+
+struct ExecuteStats {
+  /// Workers that ran, the calling thread included: min(jobs, shards), at
+  /// least 1.
+  unsigned jobs = 1;
+  /// Steal attempts that lost a claim race in the work-stealing queue.
+  std::uint64_t contended_steals = 0;
+};
+
+/// The shard executor, and the only place the engine starts threads: runs
+/// tasks for every shard index in [0, shards) on min(jobs, shards) workers —
+/// the calling thread and one new thread per further worker, all joined
+/// before it returns.  An exception from `run` stops the queue and is
+/// rethrown after the join (worker errors take precedence over a `done`
+/// error).
+ExecuteStats execute(std::size_t shards, unsigned jobs,
+                     const ShardTasks& tasks);
+
+/// Runs every shard of `plan` through execute() on a fresh MachinePool,
+/// honouring the store hooks (`shard_cache`, `on_shard_complete`) that
+/// CampaignOptions and CrashOptions share.  Returns the outcomes indexed by
+/// shard.  When `metrics` is set, fills its jobs, contended_steals and
+/// machine_rebuilds.
+template <class Outcome, class Options, class RunShard>
+std::vector<Outcome> execute_plan(const Plan& plan, const Options& opt,
+                                  RunShard run_shard,
+                                  EngineMetrics* metrics = nullptr) {
+  std::vector<Outcome> outcomes(plan.shards.size());
+  MachinePool pool(plan.variant, opt.jobs);
+  ShardTasks tasks;
+  if (opt.shard_cache)
+    tasks.cached = [&](std::size_t i) {
+      const Outcome* c = opt.shard_cache(plan.shards[i]);
+      if (c != nullptr) outcomes[i] = *c;
+      return c != nullptr;
+    };
+  tasks.run = [&](unsigned worker, std::size_t i) {
+    outcomes[i] = run_shard(pool.checkout(worker), plan.shards[i], opt);
+  };
+  if (opt.on_shard_complete)
+    tasks.done = [&](std::size_t i) { opt.on_shard_complete(outcomes[i]); };
+  const ExecuteStats ran = execute(plan.shards.size(), opt.jobs, tasks);
+  if (metrics != nullptr) {
+    metrics->jobs = ran.jobs;
+    metrics->contended_steals = ran.contended_steals;
+    metrics->machine_rebuilds = pool.machine_rebuilds();
+  }
+  return outcomes;
+}
 
 /// Merge layer: folds shard outcomes (indexed by shard) back into a
 /// CampaignResult whose stats follow plan.muts order.  Consumes the

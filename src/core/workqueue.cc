@@ -2,34 +2,33 @@
 
 namespace ballista::core {
 
-ShardQueue::ShardQueue(const Plan& plan, unsigned workers,
+ShardQueue::ShardQueue(std::size_t shards, unsigned workers,
                        std::uint64_t steal_seed) {
   if (workers == 0) workers = 1;
   deques_.reserve(workers);
   for (unsigned w = 0; w < workers; ++w)
-    deques_.push_back(std::make_unique<ShardDeque>(plan.shards.size()));
+    deques_.push_back(std::make_unique<ShardDeque>(shards));
   // Deal round-robin, seeding each deque in *reverse* plan order so the
   // owner's bottom-end pops come out in plan order.
-  for (std::size_t i = plan.shards.size(); i-- > 0;)
-    deques_[i % workers]->seed(&plan.shards[i]);
+  for (std::size_t i = shards; i-- > 0;) deques_[i % workers]->seed(i);
   states_.resize(workers);
   for (unsigned w = 0; w < workers; ++w)
     states_[w].rng = SplitMix64(steal_seed ^ (0x9e3779b97f4a7c15ULL * (w + 1)));
 }
 
-const Shard* ShardQueue::next(unsigned worker) {
-  if (const Shard* s = deques_[worker]->pop()) return s;
+std::optional<std::size_t> ShardQueue::next(unsigned worker) {
+  if (std::optional<std::size_t> s = deques_[worker]->pop()) return s;
   const unsigned n = workers();
-  if (n == 1) return nullptr;
+  if (n == 1) return std::nullopt;
   auto& rng = states_[worker].rng;
   std::uint64_t lost = 0;
-  const Shard* found = nullptr;
+  std::optional<std::size_t> found;
   for (;;) {
     // Sweep every victim once, starting from a seeded random rotation so
     // thieves fan out instead of convoying on worker 0.
     bool contended = false;
     const unsigned start = static_cast<unsigned>(rng.next_below(n));
-    for (unsigned k = 0; k < n && found == nullptr; ++k) {
+    for (unsigned k = 0; k < n && !found; ++k) {
       const unsigned v = (start + k) % n;
       if (v == worker) continue;
       bool this_lost = false;
@@ -41,7 +40,7 @@ const Shard* ShardQueue::next(unsigned worker) {
     }
     // A contended sweep proves nothing about emptiness — the victim may
     // still hold shards behind the slot we lost — so sweep again.
-    if (found != nullptr || !contended) break;
+    if (found || !contended) break;
   }
   if (lost != 0) contended_steals_.fetch_add(lost, std::memory_order_relaxed);
   return found;

@@ -1,9 +1,6 @@
 #include "rpc/harness_rpc.h"
 
-#include <algorithm>
-#include <functional>
 #include <sstream>
-#include <stdexcept>
 
 #include "core/executor.h"
 #include "core/generator.h"
@@ -43,175 +40,6 @@ bool tuple_has_exceptional(const core::TupleGenerator& gen,
 }
 
 }  // namespace
-
-TestClient::TestClient(Endpoint& endpoint, sim::OsVariant variant,
-                       const core::Registry& registry, std::uint64_t cap,
-                       std::uint64_t seed)
-    : endpoint_(endpoint),
-      registry_(registry),
-      machine_(std::make_unique<sim::Machine>(variant)),
-      cap_(cap),
-      seed_(seed) {}
-
-bool TestClient::poll() {
-  const auto frame = endpoint_.try_recv();
-  if (!frame) return true;
-  const auto msg = decode(*frame);
-  if (!msg) return true;  // malformed frames are dropped
-  if (std::get_if<Shutdown>(&*msg) != nullptr) return false;
-
-  if (const auto* req = std::get_if<ShardRequest>(&*msg)) {
-    ShardResult reply;
-    reply.mut_name = req->mut_name;
-    reply.first = req->first;
-
-    const core::MuT* mut = registry_.find(req->mut_name);
-    if (mut == nullptr) {
-      reply.detail = "unknown MuT";
-      endpoint_.send(encode(Message{std::move(reply)}));
-      return true;
-    }
-    core::TupleGenerator gen(*mut, cap_, seed_);
-    core::Executor executor(*machine_);
-    for (std::uint64_t k = 0; k < req->count; ++k) {
-      const auto tuple = gen.tuple(req->first + k);
-      const core::CaseResult r = executor.run_case(
-          *mut, tuple, static_cast<std::int64_t>(req->first + k));
-      reply.codes.push_back(core::case_code(r));
-      reply.counters += r.events;
-      if (machine_->crashed()) {
-        // The crash report travels in-band: the truncated code vector ends
-        // at the Catastrophic case, so the server needs no separate notice.
-        reply.crashed = true;
-        reply.detail = r.detail;
-        machine_->restore(sim::RestoreLevel::kReboot);
-        ++reboots_;
-        break;
-      }
-    }
-    endpoint_.send(encode(Message{std::move(reply)}));
-    return true;
-  }
-
-  const auto* request = std::get_if<TestRequest>(&*msg);
-  if (request == nullptr) return true;
-
-  const core::MuT* mut = registry_.find(request->mut_name);
-  TestResult reply;
-  reply.mut_name = request->mut_name;
-  reply.case_index = request->case_index;
-  if (mut == nullptr) {
-    reply.code = core::CaseCode::kHindering;
-    reply.detail = "unknown MuT";
-    endpoint_.send(encode(Message{std::move(reply)}));
-    return true;
-  }
-
-  core::TupleGenerator gen(*mut, cap_, seed_);
-  const auto tuple = gen.tuple(request->case_index);
-  core::Executor executor(*machine_);
-  const core::CaseResult r = executor.run_case(
-      *mut, tuple, static_cast<std::int64_t>(request->case_index));
-  reply.code = core::case_code(r);
-  reply.detail = r.detail;
-  endpoint_.send(encode(Message{std::move(reply)}));
-
-  if (machine_->crashed()) {
-    machine_->restore(sim::RestoreLevel::kReboot);
-    ++reboots_;
-    RebootNotice notice;
-    notice.report.mut_name = request->mut_name;
-    notice.report.case_index = request->case_index;
-    notice.report.code = core::CaseCode::kCatastrophic;
-    notice.report.detail = "machine rebooted";
-    endpoint_.send(encode(Message{std::move(notice)}));
-  }
-  return true;
-}
-
-TestServer::TestServer(Endpoint& endpoint, const core::Registry& registry,
-                       std::uint64_t cap, std::uint64_t seed,
-                       std::uint64_t shard_cases)
-    : endpoint_(endpoint),
-      registry_(registry),
-      cap_(cap),
-      seed_(seed),
-      shard_cases_(std::max<std::uint64_t>(shard_cases, 1)) {}
-
-core::CampaignResult TestServer::run(sim::OsVariant variant,
-                                     const std::function<void()>& pump) {
-  core::CampaignResult result;
-  result.variant = variant;
-
-  auto await = [&](MessageType want) -> std::optional<Message> {
-    for (int spin = 0; spin < 1000; ++spin) {
-      if (const auto frame = endpoint_.try_recv()) {
-        const auto msg = decode(*frame);
-        if (msg && message_type(*msg) == want) return msg;
-        continue;  // skip interleaved notices
-      }
-      pump();
-    }
-    return std::nullopt;
-  };
-
-  auto run_case = [&](const core::MuT& mut, std::uint64_t index)
-      -> std::optional<TestResult> {
-    endpoint_.send(encode(Message{TestRequest{mut.name, index}}));
-    const auto reply = await(MessageType::kTestResult);
-    if (!reply) return std::nullopt;
-    return std::get<TestResult>(*reply);
-  };
-
-  for (const core::MuT* mut : registry_.for_variant(variant)) {
-    // Match Campaign::run's default scope: growth groups (sync, sockets) are
-    // opt-in and never shipped over the test-harness wire.
-    if (!core::group_descriptor(mut->group).in_default_campaign) continue;
-    core::MutStats stats;
-    stats.mut = mut;
-    core::TupleGenerator gen(*mut, cap_, seed_);
-    stats.planned = gen.count();
-    // Ship case ranges instead of single cases: one round-trip amortizes
-    // over up to shard_cases_ executions (the plan layer's CaseRange shape).
-    bool interrupted = false;
-    for (std::uint64_t first = 0; first < gen.count() && !interrupted;
-         first += shard_cases_) {
-      const std::uint64_t count =
-          std::min<std::uint64_t>(shard_cases_, gen.count() - first);
-      endpoint_.send(encode(Message{ShardRequest{mut->name, first, count}}));
-      const auto reply = await(MessageType::kShardResult);
-      if (!reply) throw std::runtime_error("client stopped responding");
-      const ShardResult& sr = std::get<ShardResult>(*reply);
-      for (std::size_t k = 0; k < sr.codes.size(); ++k) {
-        ++result.total_cases;
-        apply_code(stats, sr.codes[k], tuple_has_exceptional(gen, first + k));
-      }
-      stats.event_counts += sr.counters;
-      if (sr.crashed) {
-        // The truncated code vector ends at the Catastrophic case.
-        const std::uint64_t crash_index = first + sr.codes.size() - 1;
-        stats.catastrophic = true;
-        stats.crash_case = static_cast<std::int64_t>(crash_index);
-        stats.crash_detail = sr.detail;
-        stats.crash_tuple = core::describe_tuple(gen.tuple(crash_index));
-        ++result.reboots;  // the client rebooted before replying
-        // Single-test reproduction over the wire (one-case request).
-        const auto again = run_case(*mut, crash_index);
-        stats.crash_reproducible_single =
-            again && again->code == core::CaseCode::kCatastrophic;
-        if (stats.crash_reproducible_single) ++result.reboots;
-        interrupted = true;  // this MuT's test set is incomplete
-      }
-    }
-    result.stats.push_back(std::move(stats));
-  }
-  for (const core::MutStats& s : result.stats)
-    result.event_counters += s.event_counts;
-
-  endpoint_.send(encode(Message{Shutdown{}}));
-  pump();
-  return result;
-}
 
 CeFileDropClient::CeFileDropClient(sim::Machine& target,
                                    const core::Registry& registry,

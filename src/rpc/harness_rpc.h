@@ -1,48 +1,23 @@
-// The split harness: a TestServer that generates test cases and aggregates
-// results, and two client styles —
-//   TestClient       the desktop arrangement (direct request/result frames),
-//   CeFileDropClient Windows CE's arrangement (§3.2): the client runs the
-//                    case and drops the result into a file on the target's
-//                    filesystem; the server polls for the file, reads it and
-//                    deletes it.  "Unfortunately this means tests are several
-//                    orders of magnitude slower" — modeled as extra simulated
-//                    clock ticks per case.
+// The paper's Windows CE harness arrangement (§3.2): CeFileDropClient runs
+// each case on the target and drops the result into a file on the target's
+// filesystem; the NT-side host loop (run_ce_file_drop_campaign) polls for the
+// file, reads it and deletes it.  "Unfortunately this means tests are
+// several orders of magnitude slower" — modeled as extra simulated clock
+// ticks per case.  The desktop client/server split is the campaign service
+// (rpc/server.h); the v1 request/result frames this host loop speaks stay in
+// rpc/protocol.h.
 #pragma once
 
-#include <map>
-#include <memory>
-#include <string>
+#include <cstdint>
+#include <string_view>
 
 #include "core/campaign.h"
-#include "rpc/channel.h"
 #include "rpc/protocol.h"
 
 namespace ballista::rpc {
 
-class TestClient {
- public:
-  TestClient(Endpoint& endpoint, sim::OsVariant variant,
-             const core::Registry& registry, std::uint64_t cap,
-             std::uint64_t seed);
-
-  /// Services at most one pending request.  Returns false once a shutdown
-  /// frame has been consumed (or the inbox is empty).
-  bool poll();
-
-  sim::Machine& machine() noexcept { return *machine_; }
-  int reboots() const noexcept { return reboots_; }
-
- private:
-  Endpoint& endpoint_;
-  const core::Registry& registry_;
-  std::unique_ptr<sim::Machine> machine_;
-  std::uint64_t cap_;
-  std::uint64_t seed_;
-  int reboots_ = 0;
-};
-
-/// CE-style client: identical execution, but results travel through the
-/// simulated target filesystem instead of the message channel.
+/// CE-style client: results travel through the simulated target filesystem
+/// instead of a message channel.
 class CeFileDropClient {
  public:
   CeFileDropClient(sim::Machine& target, const core::Registry& registry,
@@ -60,31 +35,6 @@ class CeFileDropClient {
   const core::Registry& registry_;
   std::uint64_t cap_;
   std::uint64_t seed_;
-};
-
-/// Campaign-by-RPC: drives a client over a channel and reproduces the same
-/// per-MuT statistics an in-process Campaign::run produces.
-class TestServer {
- public:
-  /// `shard_cases` is the case-range size shipped per kShardRequest: the
-  /// server serves shards (one round-trip per range, per-case codes coming
-  /// back in one kShardResult frame) instead of one request per case.
-  TestServer(Endpoint& endpoint, const core::Registry& registry,
-             std::uint64_t cap = core::kDefaultCap,
-             std::uint64_t seed = 0x8a11157a, std::uint64_t shard_cases = 256);
-
-  /// Runs the full campaign against a polling client.  `pump` is invoked
-  /// whenever the server is waiting so the caller can run client polls
-  /// (single-threaded cooperative scheduling).
-  core::CampaignResult run(sim::OsVariant variant,
-                           const std::function<void()>& pump);
-
- private:
-  Endpoint& endpoint_;
-  const core::Registry& registry_;
-  std::uint64_t cap_;
-  std::uint64_t seed_;
-  std::uint64_t shard_cases_;
 };
 
 /// The NT-side host loop for the CE arrangement: generates cases, asks the

@@ -2,10 +2,9 @@
 // concurrent client sessions over one shared MachinePool, and the
 // CampaignClient that speaks the v2 session protocol to it.
 //
-// Reproduces the paper's client/server split (§3.2) at service scale, with
-// the roles of the legacy TestServer/TestClient inverted: here the *clients*
-// ask for campaigns (kHello with a CampaignSpec) and the *server* owns the
-// machines, executes shards and streams each completed outcome back
+// Reproduces the paper's client/server split (§3.2) at service scale: the
+// *clients* ask for campaigns (kHello with a CampaignSpec) and the *server*
+// owns the machines, executes shards and streams each completed outcome back
 // (kStreamedShard), sealing with kComplete.  Outcomes are simultaneously
 // appended to a per-session .blog, so a detached client reattaches by
 // fingerprint and receives only the shards it missed — server-side resume on
@@ -14,8 +13,9 @@
 // Determinism contract: scheduling proceeds in rounds.  Each round drains
 // inbound frames, then collects up to `jobs` runnable (session, shard) pairs
 // round-robin across attached sessions (at most `quota` per session), then
-// executes them — concurrently when jobs > 1, each on its own pooled
-// machine — and finally records/streams them in collection order.  Shard
+// executes them through the shared shard executor (core/sched execute(),
+// concurrently when jobs > 1, each on its own pooled machine; no thread
+// outlives the round) and finally records/streams them in collection order.  Shard
 // outcomes only depend on (variant, spec, shard), never on what ran on other
 // machines, so every session's merged result and log bytes are identical for
 // any jobs value, and identical to a solo in-process run.

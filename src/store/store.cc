@@ -529,18 +529,21 @@ struct CompleteMarker {
   trace::Counters counters;
 };
 
-std::vector<std::uint8_t> encode_complete_raw(std::uint64_t total_cases,
-                                              std::int64_t reboots,
-                                              const trace::Counters& counters) {
-  std::vector<std::uint8_t> out;
-  wire::put_u64(out, total_cases);
-  wire::put_i64(out, reboots);
-  put_counters(out, counters);
-  return out;
+/// The totals a completion marker seals for each merged-result flavor.  A
+/// crash log's total_cases slot carries total_cuts, and it has no counters.
+CompleteMarker marker_of(const core::CampaignResult& r) {
+  return {r.total_cases, r.reboots, r.event_counters};
+}
+CompleteMarker marker_of(const core::CrashCampaignResult& r) {
+  return {r.total_cuts, r.reboots, trace::Counters{}};
 }
 
-std::vector<std::uint8_t> encode_complete(const core::CampaignResult& r) {
-  return encode_complete_raw(r.total_cases, r.reboots, r.event_counters);
+std::vector<std::uint8_t> encode_complete(const CompleteMarker& m) {
+  std::vector<std::uint8_t> out;
+  wire::put_u64(out, m.total_cases);
+  wire::put_i64(out, m.reboots);
+  put_counters(out, m.counters);
+  return out;
 }
 
 bool decode_complete(const std::uint8_t* payload, std::size_t size,
@@ -920,81 +923,272 @@ bool CampaignStore::append_shard(const core::ShardOutcome& outcome) {
   return write_frame(RecordType::kShardOutcome, encode_shard_outcome(outcome));
 }
 
-bool CampaignStore::append_complete(const core::CampaignResult& result) {
-  return write_frame(RecordType::kRunComplete, encode_complete(result));
-}
-
-bool CampaignStore::append_crash_shard(const core::CrashShardOutcome& outcome) {
+bool CampaignStore::append_shard(const core::CrashShardOutcome& outcome) {
   return write_frame(RecordType::kCrashOutcome,
                      encode_crash_shard_outcome(outcome));
 }
 
-bool CampaignStore::append_complete_crash(
-    const core::CrashCampaignResult& result) {
-  // total_cases carries total_cuts; crash logs serialize no trace counters.
+bool CampaignStore::append_complete(const core::CampaignResult& result) {
   return write_frame(RecordType::kRunComplete,
-                     encode_complete_raw(result.total_cuts, result.reboots,
-                                         trace::Counters{}));
+                     encode_complete(marker_of(result)));
+}
+
+bool CampaignStore::append_complete(const core::CrashCampaignResult& result) {
+  return write_frame(RecordType::kRunComplete,
+                     encode_complete(marker_of(result)));
 }
 
 // --- drivers -----------------------------------------------------------------
 
 namespace {
 
+/// What differs between the two record flavors; everything else in the
+/// resume and load drivers is shared.
+template <class Outcome>
+struct Flavor;
+
+template <>
+struct Flavor<core::ShardOutcome> {
+  using Options = core::CampaignOptions;
+  static constexpr bool kCrash = false;
+  static constexpr auto* plan = &core::plan_for;
+  static constexpr auto* header = &make_run_header;
+  static constexpr auto* run = &core::Campaign::run;
+  static constexpr auto* merge = &core::merge_outcomes;
+  static std::vector<core::ShardOutcome>& records(StoreContents& c) {
+    return c.outcomes;
+  }
+  static std::uint64_t cases(const core::MutStats& s) { return s.executed; }
+  static Options options(const RunHeader& h) {
+    Options opt;
+    opt.cap = h.cap;
+    opt.seed = h.seed;
+    opt.record_cases = h.record_cases != 0;
+    opt.repro_pass = h.repro_pass != 0;
+    opt.shard_cases = h.shard_cases;
+    if (h.has_only_api != 0)
+      opt.only_api = static_cast<core::ApiKind>(h.only_api);
+    if (h.has_group_filter != 0) opt.group_mask = h.group_mask;
+    if (h.has_shard_bytes != 0) opt.shard_bytes = h.shard_bytes;
+    return opt;
+  }
+};
+
+template <>
+struct Flavor<core::CrashShardOutcome> {
+  using Options = core::CrashOptions;
+  static constexpr bool kCrash = true;
+  static constexpr auto* plan = &core::crash_plan_for;
+  static constexpr auto* header = &make_crash_run_header;
+  static constexpr auto* run = &core::run_crash_engine;
+  static constexpr auto* merge = &core::merge_crash_outcomes;
+  static std::vector<core::CrashShardOutcome>& records(StoreContents& c) {
+    return c.crash_outcomes;
+  }
+  static std::uint64_t cases(const core::CrashMutStats& s) {
+    return s.cases_counted;
+  }
+  static Options options(const RunHeader& h) {
+    Options opt;
+    opt.cap = h.cap;
+    opt.seed = h.seed;
+    opt.shard_cases = h.shard_cases;
+    opt.max_cuts = h.crash_max_cuts;
+    opt.group_mask = h.crash_group_mask;
+    return opt;
+  }
+};
+
 /// A decoded record is only usable if it describes exactly the work the
 /// re-derived plan assigns to its shard index; the first implausible record
 /// ends the usable prefix (same rule as a checksum failure).
-bool outcome_matches_plan(const core::Plan& plan,
-                          core::ShardOutcome& o) {
+template <class Outcome>
+bool outcome_matches_plan(const core::Plan& plan, Outcome& o) {
   if (o.shard_index >= plan.shards.size()) return false;
   const core::Shard& s = plan.shards[o.shard_index];
   if (o.partials.size() != s.items.size()) return false;
   for (std::size_t i = 0; i < o.partials.size(); ++i) {
-    core::ShardOutcome::MutPartial& p = o.partials[i];
+    auto& p = o.partials[i];
     const core::ShardItem& it = s.items[i];
     if (p.mut_index != it.mut_index || p.range_first != it.range.first ||
-        p.stats.planned != it.planned || p.stats.executed > it.range.count)
+        p.stats.planned != it.planned ||
+        Flavor<Outcome>::cases(p.stats) > it.range.count)
       return false;
     p.stats.mut = it.mut;
   }
   return true;
 }
 
-using OutcomeCache = std::map<std::size_t, core::ShardOutcome>;
+template <class Outcome>
+using OutcomeCache = std::map<std::size_t, Outcome>;
 
-/// Adopts the plan-consistent prefix of `contents.outcomes` (first record per
+/// Adopts the plan-consistent prefix of the log's records (first record per
 /// shard index wins; a duplicate means the log was stitched, stop there).
-OutcomeCache build_cache(const core::Plan& plan, StoreContents& contents) {
-  OutcomeCache cache;
-  for (core::ShardOutcome& o : contents.outcomes) {
+template <class Outcome>
+OutcomeCache<Outcome> build_cache(const core::Plan& plan,
+                                  StoreContents& contents) {
+  OutcomeCache<Outcome> cache;
+  for (Outcome& o : Flavor<Outcome>::records(contents)) {
     if (!outcome_matches_plan(plan, o)) break;
     if (!cache.emplace(o.shard_index, std::move(o)).second) break;
   }
   return cache;
 }
 
-core::CampaignResult merge_cache(const core::Plan& plan, OutcomeCache cache) {
-  std::vector<core::ShardOutcome> outcomes(plan.shards.size());
+template <class Outcome>
+typename Outcome::Result merge_cache(const core::Plan& plan,
+                                     OutcomeCache<Outcome> cache) {
+  std::vector<Outcome> outcomes(plan.shards.size());
   for (auto& [index, o] : cache) outcomes[index] = std::move(o);
-  return core::merge_outcomes(plan, std::move(outcomes));
+  return Flavor<Outcome>::merge(plan, std::move(outcomes));
 }
 
-bool summary_matches(const StoreContents& contents,
-                     const core::CampaignResult& merged) {
-  return contents.complete_total_cases == merged.total_cases &&
-         contents.complete_reboots == merged.reboots &&
-         contents.complete_counters == merged.event_counters;
+template <class Result>
+bool summary_matches(std::uint64_t total_cases, std::int64_t reboots,
+                     const trace::Counters& counters, const Result& merged) {
+  const CompleteMarker m = marker_of(merged);
+  return total_cases == m.total_cases && reboots == m.reboots &&
+         counters == m.counters;
+}
+
+constexpr const char* kMismatchedSummary =
+    ": merged result does not match the log's completion marker (refusing "
+    "to trust it)";
+
+/// The resume driver behind run_with_store and run_crash_with_store.
+template <class Outcome>
+BasicStoreRun<Outcome> run_stored(sim::OsVariant variant,
+                                  const core::Registry& registry,
+                                  const typename Flavor<Outcome>::Options& opt,
+                                  const std::string& path, bool resume) {
+  using Log = BasicResumableLog<Outcome>;
+  BasicStoreRun<Outcome> out;
+  if constexpr (!Flavor<Outcome>::kCrash) {
+    if (opt.machine_setup || opt.task_setup) {
+      out.error = "campaigns with ambient-state hooks cannot be stored "
+                  "(their machine state is not fingerprintable)";
+      return out;
+    }
+  }
+  if (opt.shard_cache || opt.on_shard_complete) {
+    out.error = "the store manages the engine's shard hooks itself";
+    return out;
+  }
+
+  const core::Plan plan = Flavor<Outcome>::plan(variant, registry, opt);
+  typename Log::Opened opened =
+      Log::open(path, plan, Flavor<Outcome>::header(plan, opt),
+                resume ? Log::Mode::kResume : Log::Mode::kCreate);
+  out.log_status = opened.status;
+  if (opened.log == nullptr) {
+    out.error = opened.error;
+    return out;
+  }
+  Log& log = *opened.log;
+
+  if (log.recovered_complete() && log.cached().size() == plan.shards.size()) {
+    // Nothing to do: the log already holds the whole campaign.
+    out.result = merge_cache<Outcome>(plan, log.cached());
+    if (!log.summary_matches(out.result)) {
+      out.error = path + kMismatchedSummary;
+      return out;
+    }
+    out.shards_reused = plan.shards.size();
+    out.ok = true;
+    return out;
+  }
+
+  typename Flavor<Outcome>::Options run_opt = opt;
+  run_opt.shard_cache = [&log](const core::Shard& s) -> const Outcome* {
+    const auto it = log.cached().find(s.index);
+    return it == log.cached().end() ? nullptr : &it->second;
+  };
+  std::size_t executed = 0;
+  run_opt.on_shard_complete = [&](const Outcome& o) {
+    if (!log.append_shard(o))
+      throw std::runtime_error("campaign store: append failed on " + path);
+    ++executed;
+  };
+
+  try {
+    out.result = Flavor<Outcome>::run(variant, registry, run_opt);
+  } catch (const std::exception& e) {
+    out.error = e.what();
+    return out;
+  }
+  if (!log.seal(out.result)) {
+    out.error = "campaign store: could not seal " + path;
+    return out;
+  }
+  out.shards_reused = log.cached().size();
+  out.shards_executed = executed;
+  out.ok = true;
+  return out;
+}
+
+/// The load driver behind load_result and load_crash_result.
+template <class Outcome>
+BasicStoreRun<Outcome> load_stored(const core::Registry& registry,
+                                   const std::string& path) {
+  BasicStoreRun<Outcome> out;
+  StoreContents contents = read_store_file(path);
+  out.log_status = contents.status;
+  if (contents.status == ReadStatus::kBadHeader) {
+    out.error = path + ": " + contents.error;
+    return out;
+  }
+  if ((contents.header.crash_mode != 0) != Flavor<Outcome>::kCrash) {
+    out.error = path + (Flavor<Outcome>::kCrash
+                            ? ": not a crash-enumeration log"
+                            : ": a crash-enumeration log, not a robustness log");
+    return out;
+  }
+
+  const auto variant = static_cast<sim::OsVariant>(contents.header.variant);
+  const auto opt = Flavor<Outcome>::options(contents.header);
+  const core::Plan plan = Flavor<Outcome>::plan(variant, registry, opt);
+  const RunHeader want = Flavor<Outcome>::header(plan, opt);
+  if (contents.header != want) {
+    out.error = path + ": log does not match the current catalog "
+                       "(was it written by a different build?):\n" +
+                describe_header_mismatch(want, contents.header);
+    return out;
+  }
+  if (!contents.complete) {
+    out.error = path + ": log is incomplete (" +
+                std::string(read_status_name(contents.status)) +
+                (contents.error.empty() ? "" : ": " + contents.error) +
+                "); finish it with --resume first";
+    return out;
+  }
+  OutcomeCache<Outcome> cache = build_cache<Outcome>(plan, contents);
+  if (cache.size() != plan.shards.size()) {
+    out.error = path + ": log is sealed but covers only " +
+                std::to_string(cache.size()) + " of " +
+                std::to_string(plan.shards.size()) + " shards";
+    return out;
+  }
+  out.shards_reused = cache.size();
+  out.result = merge_cache<Outcome>(plan, std::move(cache));
+  if (!summary_matches(contents.complete_total_cases, contents.complete_reboots,
+                       contents.complete_counters, out.result)) {
+    out.error = path + kMismatchedSummary;
+    return out;
+  }
+  out.ok = true;
+  return out;
 }
 
 }  // namespace
 
 // --- ResumableLog ------------------------------------------------------------
 
-ResumableLog::Opened ResumableLog::open(const std::string& path,
-                                        const core::Plan& plan,
-                                        const RunHeader& header, Mode mode) {
+template <class Outcome>
+typename BasicResumableLog<Outcome>::Opened BasicResumableLog<Outcome>::open(
+    const std::string& path, const core::Plan& plan, const RunHeader& header,
+    Mode mode) {
   Opened out;
-  auto log = std::unique_ptr<ResumableLog>(new ResumableLog());
+  auto log = std::unique_ptr<BasicResumableLog>(new BasicResumableLog());
   log->path_ = path;
 
   bool create = mode == Mode::kCreate;
@@ -1027,7 +1221,7 @@ ResumableLog::Opened ResumableLog::open(const std::string& path,
                 describe_header_mismatch(header, contents.header);
     return out;
   }
-  log->cache_ = build_cache(plan, contents);
+  log->cache_ = build_cache<Outcome>(plan, contents);
   log->complete_ = contents.complete;
   log->complete_total_cases_ = contents.complete_total_cases;
   log->complete_reboots_ = contents.complete_reboots;
@@ -1047,326 +1241,47 @@ ResumableLog::Opened ResumableLog::open(const std::string& path,
   return out;
 }
 
-bool ResumableLog::summary_matches(
-    const core::CampaignResult& merged) const noexcept {
-  return complete_total_cases_ == merged.total_cases &&
-         complete_reboots_ == merged.reboots &&
-         complete_counters_ == merged.event_counters;
+template <class Outcome>
+bool BasicResumableLog<Outcome>::summary_matches(
+    const Result& merged) const noexcept {
+  return store::summary_matches(complete_total_cases_, complete_reboots_,
+                                complete_counters_, merged);
 }
 
-bool ResumableLog::append_shard(const core::ShardOutcome& outcome) {
+template <class Outcome>
+bool BasicResumableLog<Outcome>::append_shard(const Outcome& outcome) {
   return store_ != nullptr && store_->append_shard(outcome);
 }
 
-bool ResumableLog::seal(const core::CampaignResult& result) {
+template <class Outcome>
+bool BasicResumableLog<Outcome>::seal(const Result& result) {
   return store_ != nullptr && store_->append_complete(result);
 }
+
+template class BasicResumableLog<core::ShardOutcome>;
+template class BasicResumableLog<core::CrashShardOutcome>;
 
 StoreRun run_with_store(sim::OsVariant variant, const core::Registry& registry,
                         const core::CampaignOptions& opt,
                         const std::string& path, bool resume) {
-  StoreRun out;
-  if (opt.machine_setup || opt.task_setup) {
-    out.error = "campaigns with ambient-state hooks cannot be stored "
-                "(their machine state is not fingerprintable)";
-    return out;
-  }
-  if (opt.shard_cache || opt.on_shard_complete) {
-    out.error = "the store manages the engine's shard hooks itself";
-    return out;
-  }
-
-  const core::Plan plan = core::plan_for(variant, registry, opt);
-  const RunHeader header = make_run_header(plan, opt);
-
-  ResumableLog::Opened opened = ResumableLog::open(
-      path, plan, header,
-      resume ? ResumableLog::Mode::kResume : ResumableLog::Mode::kCreate);
-  out.log_status = opened.status;
-  if (opened.log == nullptr) {
-    out.error = opened.error;
-    return out;
-  }
-  ResumableLog& log = *opened.log;
-
-  if (log.recovered_complete() && log.cached().size() == plan.shards.size()) {
-    // Nothing to do: the log already holds the whole campaign.
-    out.result = merge_cache(plan, log.cached());
-    if (!log.summary_matches(out.result)) {
-      out.error = path + ": merged result does not match the log's "
-                         "completion marker (refusing to trust it)";
-      return out;
-    }
-    out.shards_reused = plan.shards.size();
-    out.ok = true;
-    return out;
-  }
-
-  core::CampaignOptions run_opt = opt;
-  run_opt.shard_cache =
-      [&log](const core::Shard& s) -> const core::ShardOutcome* {
-    const auto it = log.cached().find(s.index);
-    return it == log.cached().end() ? nullptr : &it->second;
-  };
-  std::size_t executed = 0;
-  run_opt.on_shard_complete = [&](const core::ShardOutcome& o) {
-    if (!log.append_shard(o))
-      throw std::runtime_error("campaign store: append failed on " + path);
-    ++executed;
-  };
-
-  try {
-    out.result = core::Campaign::run(variant, registry, run_opt);
-  } catch (const std::exception& e) {
-    out.error = e.what();
-    return out;
-  }
-  if (!log.seal(out.result)) {
-    out.error = "campaign store: could not seal " + path;
-    return out;
-  }
-  out.shards_reused = log.cached().size();
-  out.shards_executed = executed;
-  out.ok = true;
-  return out;
+  return run_stored<core::ShardOutcome>(variant, registry, opt, path, resume);
 }
 
 StoreRun load_result(const core::Registry& registry, const std::string& path) {
-  StoreRun out;
-  StoreContents contents = read_store_file(path);
-  out.log_status = contents.status;
-  if (contents.status == ReadStatus::kBadHeader) {
-    out.error = path + ": " + contents.error;
-    return out;
-  }
-
-  const auto variant = static_cast<sim::OsVariant>(contents.header.variant);
-  core::CampaignOptions opt;
-  opt.cap = contents.header.cap;
-  opt.seed = contents.header.seed;
-  opt.record_cases = contents.header.record_cases != 0;
-  opt.repro_pass = contents.header.repro_pass != 0;
-  opt.shard_cases = contents.header.shard_cases;
-  if (contents.header.has_only_api != 0)
-    opt.only_api = static_cast<core::ApiKind>(contents.header.only_api);
-  if (contents.header.has_group_filter != 0)
-    opt.group_mask = contents.header.group_mask;
-  if (contents.header.has_shard_bytes != 0)
-    opt.shard_bytes = contents.header.shard_bytes;
-
-  const core::Plan plan = core::plan_for(variant, registry, opt);
-  const RunHeader want = make_run_header(plan, opt);
-  if (contents.header != want) {
-    out.error = path + ": log does not match the current catalog "
-                       "(was it written by a different build?):\n" +
-                describe_header_mismatch(want, contents.header);
-    return out;
-  }
-  if (!contents.complete) {
-    out.error = path + ": log is incomplete (" +
-                std::string(read_status_name(contents.status)) +
-                (contents.error.empty() ? "" : ": " + contents.error) +
-                "); finish it with --resume first";
-    return out;
-  }
-  OutcomeCache cache = build_cache(plan, contents);
-  if (cache.size() != plan.shards.size()) {
-    out.error = path + ": log is sealed but covers only " +
-                std::to_string(cache.size()) + " of " +
-                std::to_string(plan.shards.size()) + " shards";
-    return out;
-  }
-  out.shards_reused = cache.size();
-  out.result = merge_cache(plan, std::move(cache));
-  if (!summary_matches(contents, out.result)) {
-    out.error = path + ": merged result does not match the log's completion "
-                       "marker (refusing to trust it)";
-    return out;
-  }
-  out.ok = true;
-  return out;
+  return load_stored<core::ShardOutcome>(registry, path);
 }
-
-// --- crash-enumeration drivers ----------------------------------------------
-
-namespace {
-
-bool crash_outcome_matches_plan(const core::Plan& plan,
-                                core::CrashShardOutcome& o) {
-  if (o.shard_index >= plan.shards.size()) return false;
-  const core::Shard& s = plan.shards[o.shard_index];
-  if (o.partials.size() != s.items.size()) return false;
-  for (std::size_t i = 0; i < o.partials.size(); ++i) {
-    core::CrashShardOutcome::MutPartial& p = o.partials[i];
-    const core::ShardItem& it = s.items[i];
-    if (p.mut_index != it.mut_index || p.range_first != it.range.first ||
-        p.stats.planned != it.planned ||
-        p.stats.cases_counted > it.range.count)
-      return false;
-    p.stats.mut = it.mut;
-  }
-  return true;
-}
-
-using CrashOutcomeCache = std::map<std::size_t, core::CrashShardOutcome>;
-
-CrashOutcomeCache build_crash_cache(const core::Plan& plan,
-                                    StoreContents& contents) {
-  CrashOutcomeCache cache;
-  for (core::CrashShardOutcome& o : contents.crash_outcomes) {
-    if (!crash_outcome_matches_plan(plan, o)) break;
-    if (!cache.emplace(o.shard_index, std::move(o)).second) break;
-  }
-  return cache;
-}
-
-core::CrashCampaignResult merge_crash_cache(const core::Plan& plan,
-                                            CrashOutcomeCache cache) {
-  std::vector<core::CrashShardOutcome> outcomes(plan.shards.size());
-  for (auto& [index, o] : cache) outcomes[index] = std::move(o);
-  return core::merge_crash_outcomes(plan, std::move(outcomes));
-}
-
-bool crash_summary_matches(const StoreContents& contents,
-                           const core::CrashCampaignResult& merged) {
-  return contents.complete_total_cases == merged.total_cuts &&
-         contents.complete_reboots == merged.reboots &&
-         contents.complete_counters == trace::Counters{};
-}
-
-}  // namespace
 
 CrashStoreRun run_crash_with_store(sim::OsVariant variant,
                                    const core::Registry& registry,
                                    const core::CrashOptions& opt,
                                    const std::string& path, bool resume) {
-  CrashStoreRun out;
-  if (opt.shard_cache || opt.on_shard_complete) {
-    out.error = "the store manages the engine's shard hooks itself";
-    return out;
-  }
-
-  const core::Plan plan = core::crash_plan_for(variant, registry, opt);
-  const RunHeader header = make_crash_run_header(plan, opt);
-
-  std::unique_ptr<CampaignStore> log;
-  CrashOutcomeCache cache;
-  std::string err;
-  if (resume) {
-    StoreContents contents = read_store_file(path);
-    out.log_status = contents.status;
-    if (contents.status == ReadStatus::kBadHeader) {
-      out.error = path + ": " + contents.error;
-      return out;
-    }
-    if (contents.header != header) {
-      out.error = path + ": log fingerprint does not match this campaign:\n" +
-                  describe_header_mismatch(header, contents.header);
-      return out;
-    }
-    cache = build_crash_cache(plan, contents);
-    if (contents.complete && cache.size() == plan.shards.size()) {
-      out.result = merge_crash_cache(plan, std::move(cache));
-      if (!crash_summary_matches(contents, out.result)) {
-        out.error = path + ": merged result does not match the log's "
-                           "completion marker (refusing to trust it)";
-        return out;
-      }
-      out.shards_reused = plan.shards.size();
-      out.ok = true;
-      return out;
-    }
-    log = CampaignStore::open_append(path, contents.valid_bytes, &err);
-  } else {
-    log = CampaignStore::create(path, header, &err);
-  }
-  if (log == nullptr) {
-    out.error = err;
-    return out;
-  }
-
-  core::CrashOptions run_opt = opt;
-  run_opt.shard_cache =
-      [&cache](const core::Shard& s) -> const core::CrashShardOutcome* {
-    const auto it = cache.find(s.index);
-    return it == cache.end() ? nullptr : &it->second;
-  };
-  std::size_t executed = 0;
-  run_opt.on_shard_complete = [&](const core::CrashShardOutcome& o) {
-    if (!log->append_crash_shard(o))
-      throw std::runtime_error("campaign store: append failed on " + path);
-    ++executed;
-  };
-
-  try {
-    out.result = core::run_crash_engine(variant, registry, run_opt);
-  } catch (const std::exception& e) {
-    out.error = e.what();
-    return out;
-  }
-  if (!log->append_complete_crash(out.result)) {
-    out.error = "campaign store: could not seal " + path;
-    return out;
-  }
-  out.shards_reused = cache.size();
-  out.shards_executed = executed;
-  out.ok = true;
-  return out;
+  return run_stored<core::CrashShardOutcome>(variant, registry, opt, path,
+                                             resume);
 }
 
 CrashStoreRun load_crash_result(const core::Registry& registry,
                                 const std::string& path) {
-  CrashStoreRun out;
-  StoreContents contents = read_store_file(path);
-  out.log_status = contents.status;
-  if (contents.status == ReadStatus::kBadHeader) {
-    out.error = path + ": " + contents.error;
-    return out;
-  }
-  if (contents.header.crash_mode == 0) {
-    out.error = path + ": not a crash-enumeration log";
-    return out;
-  }
-
-  const auto variant = static_cast<sim::OsVariant>(contents.header.variant);
-  core::CrashOptions opt;
-  opt.cap = contents.header.cap;
-  opt.seed = contents.header.seed;
-  opt.shard_cases = contents.header.shard_cases;
-  opt.max_cuts = contents.header.crash_max_cuts;
-  opt.group_mask = contents.header.crash_group_mask;
-
-  const core::Plan plan = core::crash_plan_for(variant, registry, opt);
-  const RunHeader want = make_crash_run_header(plan, opt);
-  if (contents.header != want) {
-    out.error = path + ": log does not match the current catalog "
-                       "(was it written by a different build?):\n" +
-                describe_header_mismatch(want, contents.header);
-    return out;
-  }
-  if (!contents.complete) {
-    out.error = path + ": log is incomplete (" +
-                std::string(read_status_name(contents.status)) +
-                (contents.error.empty() ? "" : ": " + contents.error) +
-                "); finish it with --resume first";
-    return out;
-  }
-  CrashOutcomeCache cache = build_crash_cache(plan, contents);
-  if (cache.size() != plan.shards.size()) {
-    out.error = path + ": log is sealed but covers only " +
-                std::to_string(cache.size()) + " of " +
-                std::to_string(plan.shards.size()) + " shards";
-    return out;
-  }
-  out.shards_reused = cache.size();
-  out.result = merge_crash_cache(plan, std::move(cache));
-  if (!crash_summary_matches(contents, out.result)) {
-    out.error = path + ": merged result does not match the log's completion "
-                       "marker (refusing to trust it)";
-    return out;
-  }
-  out.ok = true;
-  return out;
+  return load_stored<core::CrashShardOutcome>(registry, path);
 }
 
 }  // namespace ballista::store

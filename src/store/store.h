@@ -15,10 +15,14 @@
 // treat the first implausible record as the end of the usable prefix.
 //
 // Resuming: run_with_store re-plans (bit-identical by construction — same
-// fingerprint), replays the log's shard outcomes through
-// CampaignOptions::shard_cache, executes only the missing shards (appending
-// them to the same log), and merges.  The result is indistinguishable from
-// an uninterrupted run at any --jobs.
+// fingerprint), replays the log's shard outcomes through the engine's
+// shard_cache hook, executes only the missing shards (appending them to the
+// same log), and merges.  The result is indistinguishable from an
+// uninterrupted run at any --jobs.  One driver serves both record flavors:
+// BasicResumableLog, the resume driver and the load driver are templates
+// over the shard-outcome type (ShardOutcome for robustness campaigns,
+// CrashShardOutcome for crash enumeration), instantiated for exactly those
+// two in store.cc.
 #pragma once
 
 #include <cstdio>
@@ -103,15 +107,15 @@ class CampaignStore {
   CampaignStore(const CampaignStore&) = delete;
   CampaignStore& operator=(const CampaignStore&) = delete;
 
-  /// Frames, appends and flushes one completed shard.
+  /// Frames, appends and flushes one completed shard (a kShardOutcome or a
+  /// kCrashOutcome record).
   bool append_shard(const core::ShardOutcome& outcome);
-  /// Appends the completion marker with the merged totals.
+  bool append_shard(const core::CrashShardOutcome& outcome);
+  /// Appends the completion marker with the merged totals.  A crash log's
+  /// total_cases slot carries total_cuts and its event-counter slots are zero
+  /// (crash logs never serialize traces).
   bool append_complete(const core::CampaignResult& result);
-
-  /// Crash-log flavors of the two appends (total_cases carries total_cuts;
-  /// the event-counter slots are zero — crash logs never serialize traces).
-  bool append_crash_shard(const core::CrashShardOutcome& outcome);
-  bool append_complete_crash(const core::CrashCampaignResult& result);
+  bool append_complete(const core::CrashCampaignResult& result);
 
   bool fail() const noexcept { return failed_; }
 
@@ -129,19 +133,22 @@ class CampaignStore {
 std::uint64_t run_fingerprint(const RunHeader& h);
 
 /// Incremental create-or-resume access to one campaign's log: the recovery,
-/// fingerprint-check, cache-building and append machinery of run_with_store
-/// factored out so long-lived callers (the campaign server streams shards
+/// fingerprint-check, cache-building and append machinery of the resume
+/// driver, exposed so long-lived callers (the campaign server streams shards
 /// into many of these at once) can drive the engine hooks themselves.
-class ResumableLog {
+template <class Outcome>
+class BasicResumableLog {
  public:
+  using Result = typename Outcome::Result;
+
   enum class Mode : std::uint8_t {
     kCreate,          // fresh log; truncates whatever was at `path`
     kResume,          // existing log required; recover its valid prefix
     kCreateOrResume,  // resume if `path` exists, else create
   };
   struct Opened {
-    std::unique_ptr<ResumableLog> log;  // null on failure
-    std::string error;                  // set when !log
+    std::unique_ptr<BasicResumableLog> log;  // null on failure
+    std::string error;                       // set when !log
     /// What the reader said about an existing log (kOk for fresh creates).
     ReadStatus status = ReadStatus::kOk;
   };
@@ -153,47 +160,54 @@ class ResumableLog {
 
   const std::string& path() const noexcept { return path_; }
   /// Plan-consistent shard outcomes recovered from the log, keyed by shard
-  /// index, MutStats rebound to the plan's MuTs.  Feed to
-  /// CampaignOptions::shard_cache; cached shards must not be re-appended.
-  const std::map<std::size_t, core::ShardOutcome>& cached() const noexcept {
+  /// index, per-MuT stats rebound to the plan's MuTs.  Feed to the engine's
+  /// shard_cache; cached shards must not be re-appended.
+  const std::map<std::size_t, Outcome>& cached() const noexcept {
     return cache_;
   }
   /// The recovered log already carried a completion marker.
   bool recovered_complete() const noexcept { return complete_; }
   /// Cross-checks a merged result against the recovered completion marker
   /// (only meaningful when recovered_complete()).
-  bool summary_matches(const core::CampaignResult& merged) const noexcept;
+  bool summary_matches(const Result& merged) const noexcept;
 
   /// Frames, appends and flushes one completed shard.
-  bool append_shard(const core::ShardOutcome& outcome);
+  bool append_shard(const Outcome& outcome);
   /// Appends the completion marker with the merged totals.
-  bool seal(const core::CampaignResult& result);
+  bool seal(const Result& result);
   bool fail() const noexcept { return !store_ || store_->fail(); }
 
  private:
-  ResumableLog() = default;
+  BasicResumableLog() = default;
 
   std::string path_;
   std::unique_ptr<CampaignStore> store_;  // null once sealed-and-covered
-  std::map<std::size_t, core::ShardOutcome> cache_;
+  std::map<std::size_t, Outcome> cache_;
   bool complete_ = false;
   std::uint64_t complete_total_cases_ = 0;
   std::int64_t complete_reboots_ = 0;
   trace::Counters complete_counters_;
 };
 
+extern template class BasicResumableLog<core::ShardOutcome>;
+extern template class BasicResumableLog<core::CrashShardOutcome>;
+using ResumableLog = BasicResumableLog<core::ShardOutcome>;
+
 // --- drivers -----------------------------------------------------------------
 
-struct StoreRun {
+template <class Outcome>
+struct BasicStoreRun {
   bool ok = false;
   std::string error;  // set when !ok
-  core::CampaignResult result;
+  typename Outcome::Result result;
   /// Shards adopted from the log vs. executed this invocation.
   std::size_t shards_reused = 0;
   std::size_t shards_executed = 0;
   /// What the reader reported about the log that was opened (resume/load).
   ReadStatus log_status = ReadStatus::kOk;
 };
+using StoreRun = BasicStoreRun<core::ShardOutcome>;
+using CrashStoreRun = BasicStoreRun<core::CrashShardOutcome>;
 
 /// Runs (or resumes) one campaign with the log at `path`.
 ///   resume == false: create a fresh log, run everything, append each shard
@@ -212,17 +226,6 @@ StoreRun run_with_store(sim::OsVariant variant, const core::Registry& registry,
 /// totals are cross-checked against the completion marker, so a log that
 /// would mis-merge is rejected rather than trusted.
 StoreRun load_result(const core::Registry& registry, const std::string& path);
-
-// --- crash-enumeration drivers ----------------------------------------------
-
-struct CrashStoreRun {
-  bool ok = false;
-  std::string error;
-  core::CrashCampaignResult result;
-  std::size_t shards_reused = 0;
-  std::size_t shards_executed = 0;
-  ReadStatus log_status = ReadStatus::kOk;
-};
 
 /// Runs (or resumes) one crash-enumeration campaign with the log at `path`.
 /// Same contract as run_with_store: resume recovers the valid prefix, checks

@@ -9,7 +9,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/ballista.h"
@@ -93,6 +95,98 @@ TEST(CrashEngine, MergedResultIsIdenticalForAnyJobsValue) {
   EXPECT_GT(seq.total_points, 0u);
   EXPECT_GT(seq.total_cuts, 0u);
   EXPECT_EQ(seq.total_cuts, seq.consistent + seq.inconsistent + seq.no_cut);
+}
+
+TEST(CrashEngine, ThrowingHookStopsAndRethrows) {
+  const auto& world = shared_world();
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const unsigned jobs : {1u, 3u}) {
+    CrashOptions opt = small_options();
+    opt.shard_cases = 2;  // many small shards: plenty left when the hook dies
+    opt.jobs = jobs;
+    const std::size_t shards =
+        core::crash_plan_for(OsVariant::kWinNT4, world.registry, opt)
+            .shards.size();
+    ASSERT_GT(shards, 4u);
+    std::vector<std::thread::id> hook_threads;
+    bool called_after_throw = false;
+    bool thrown = false;
+    opt.on_shard_complete = [&](const CrashShardOutcome&) {
+      if (thrown) called_after_throw = true;
+      hook_threads.push_back(std::this_thread::get_id());
+      if (hook_threads.size() == 2) {
+        thrown = true;
+        throw std::runtime_error("log append failed");
+      }
+    };
+    EXPECT_THROW(
+        core::run_crash_engine(OsVariant::kWinNT4, world.registry, opt),
+        std::runtime_error)
+        << "jobs=" << jobs;
+    EXPECT_FALSE(called_after_throw) << "jobs=" << jobs;
+    EXPECT_EQ(hook_threads.size(), 2u) << "jobs=" << jobs;
+    for (const std::thread::id& id : hook_threads)
+      EXPECT_EQ(id, caller) << "hook ran off the calling thread, jobs="
+                            << jobs;
+  }
+}
+
+TEST(CrashProbe, ReproducesEveryCampaignFinding) {
+  const auto& world = shared_world();
+  const CrashOptions opt = small_options();
+  for (const OsVariant v : {OsVariant::kWin95, OsVariant::kWinNT4}) {
+    const auto result = core::run_crash_engine(v, world.registry, opt);
+    for (const core::CrashMutStats& s : result.stats) {
+      for (const core::CutRecord& f : s.findings) {
+        std::string detail;
+        const CrashVerdict verdict = core::crash_probe_case(
+            v, *s.mut, f.case_index, f.cut_at, opt.cap, opt.seed, &detail);
+        const std::string at = std::string(sim::variant_name(v)) + " " +
+                               s.mut->name + " case " +
+                               std::to_string(f.case_index) + " k=" +
+                               std::to_string(f.cut_at);
+        EXPECT_EQ(verdict, f.verdict) << at;
+        EXPECT_EQ(detail, f.detail) << at;
+      }
+    }
+  }
+  // The simulator's reboot restores every checked invariant, so those
+  // campaigns may legitimately find nothing.  This MuT guarantees findings:
+  // its point count differs between the counting pass and the armed passes,
+  // so every k beyond the first is a kNoCut finding whose detail string
+  // names both counts.
+  core::TypeLibrary lib;
+  auto& t = lib.make("flaky_index");
+  for (int i = 0; i < 3; ++i)
+    t.add("v" + std::to_string(i), false,
+          [i](core::ValueCtx&) { return static_cast<core::RawArg>(i); });
+  core::Registry reg;
+  core::MuT m;
+  m.name = "flaky_points";
+  m.api = core::ApiKind::kWin32Sys;
+  m.group = core::FuncGroup::kFileDirAccess;
+  m.params = {&lib.get("flaky_index")};
+  m.variant_mask = core::kMaskEverything;
+  m.impl = [](core::CallContext& c) {
+    sim::MutationHub& hub = c.machine().mutations();
+    const int points = hub.counting() && !hub.armed() ? 3 : 1;
+    for (int p = 0; p < points; ++p)
+      hub.notify(sim::MutationKind::kFsMeta, static_cast<std::uint64_t>(p));
+    return core::ok(0);
+  };
+  reg.add(std::move(m));
+  const auto flaky = core::run_crash_engine(OsVariant::kWinNT4, reg, opt);
+  ASSERT_EQ(flaky.stats.size(), 1u);
+  const core::CrashMutStats& s = flaky.stats[0];
+  ASSERT_EQ(s.findings.size(), 6u);  // k = 2, 3 of each of the 3 cases
+  for (const core::CutRecord& f : s.findings) {
+    EXPECT_EQ(f.verdict, CrashVerdict::kNoCut);
+    std::string detail;
+    EXPECT_EQ(core::crash_probe_case(OsVariant::kWinNT4, *s.mut, f.case_index,
+                                     f.cut_at, opt.cap, opt.seed, &detail),
+              f.verdict);
+    EXPECT_EQ(detail, f.detail);
+  }
 }
 
 TEST(CrashProbe, MatchesTheCountingPassAndRejectsOutOfRangeCuts) {
@@ -317,7 +411,7 @@ TEST(CrashStore, RecordFlavorsNeverMix) {
     ASSERT_NE(log, nullptr) << err;
     CrashShardOutcome crash;
     crash.shard_index = 0;
-    ASSERT_TRUE(log->append_crash_shard(crash));
+    ASSERT_TRUE(log->append_shard(crash));
   }
   const store::StoreContents c2 = store::read_store_file(base_path);
   EXPECT_EQ(c2.status, ReadStatus::kCorrupt);

@@ -220,15 +220,15 @@ TEST(ShardQueue, DeliversEveryShardExactlyOnce) {
   const Plan plan = make_plan(OsVariant::kLinux, world.registry, opt);
   ASSERT_GT(plan.shards.size(), 4u);
 
-  ShardQueue queue(plan, 3);
-  std::set<const Shard*> delivered;
+  ShardQueue queue(plan.shards.size(), 3);
+  std::set<std::size_t> delivered;
   // Worker 1 drains everything: its own deque first, then steals the rest.
-  while (const Shard* s = queue.next(1)) {
-    EXPECT_TRUE(delivered.insert(s).second) << "shard delivered twice";
+  while (const auto s = queue.next(1)) {
+    EXPECT_TRUE(delivered.insert(*s).second) << "shard delivered twice";
   }
   EXPECT_EQ(delivered.size(), plan.shards.size());
-  EXPECT_EQ(queue.next(0), nullptr);
-  EXPECT_EQ(queue.next(2), nullptr);
+  EXPECT_EQ(queue.next(0), std::nullopt);
+  EXPECT_EQ(queue.next(2), std::nullopt);
 }
 
 // --- the determinism contract -----------------------------------------------

@@ -2,6 +2,8 @@
 // sessions over one machine pool, streaming each session's shard outcomes
 // into its own .blog.  The contracts under test:
 //
+//   * over the wire — a campaign served to one client merges to exactly the
+//     in-process Campaign::run result, crash blame and reboots included;
 //   * kill matrix — N concurrent sessions on different OS variants, at any
 //     --jobs, each produce a merged result bit-identical to a solo
 //     in-process run, and (with durability on) a log byte-identical to the
@@ -22,6 +24,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -218,6 +221,51 @@ TEST(CampaignService, SessionLogsAreByteIdenticalToSoloStoreRuns) {
     const std::string path = server.log_path(header);
     EXPECT_EQ(slurp(path), slurp(ref_path)) << "jobs=" << jobs;
   }
+}
+
+// --- campaigns over the wire -------------------------------------------------
+
+/// Runs one campaign through a CampaignServer and returns the client's merged
+/// result (nullopt when the session did not complete cleanly).
+std::optional<CampaignResult> serve_one(const core::Registry& registry,
+                                        OsVariant v,
+                                        const CampaignOptions& opt,
+                                        unsigned jobs) {
+  ServerConfig cfg;
+  cfg.jobs = jobs;
+  CampaignServer server(registry, cfg);
+  Channel ch;
+  server.bind(ch.a());
+  CampaignClient client(ch.b(), registry, v, opt);
+  if (!client.hello()) return std::nullopt;
+  pump(server, {&client});
+  return client.result();
+}
+
+TEST(CampaignService, MatchesInProcessCampaignOnLinux) {
+  const auto& world = shared_world();
+  CampaignOptions opt;
+  opt.cap = 40;
+  const auto direct =
+      core::Campaign::run(OsVariant::kLinux, world.registry, opt);
+  const auto over_rpc =
+      serve_one(world.registry, OsVariant::kLinux, opt, /*jobs=*/2);
+  ASSERT_TRUE(over_rpc.has_value());
+  expect_same_result(direct, *over_rpc, "linux cap 40");
+}
+
+TEST(CampaignService, CrashesAreReportedAndRebooted) {
+  const auto& world = shared_world();
+  CampaignOptions opt;
+  opt.cap = 30;
+  const auto result =
+      serve_one(world.registry, OsVariant::kWin98, opt, /*jobs=*/2);
+  ASSERT_TRUE(result.has_value());
+  const auto* gtc = result->find("GetThreadContext");
+  ASSERT_NE(gtc, nullptr);
+  EXPECT_TRUE(gtc->catastrophic);
+  EXPECT_TRUE(gtc->crash_reproducible_single);  // Listing 1 reproduces
+  EXPECT_GT(result->reboots, 0);
 }
 
 // --- detach / reattach -------------------------------------------------------

@@ -1,8 +1,9 @@
 // Tests for the split (client/server) harness: wire protocol round trips,
-// channel delivery, campaign-over-RPC equivalence with the in-process
-// campaign, and the Windows CE file-drop arrangement.
+// channel delivery and the Windows CE file-drop arrangement.  Campaigns over
+// the wire are covered by the campaign service's tests (rpc_server_test.cc).
 #include <gtest/gtest.h>
 
+#include "rpc/channel.h"
 #include "rpc/harness_rpc.h"
 #include "tests/test_util.h"
 
@@ -264,48 +265,6 @@ TEST(Channel, DirectionsAreBoundedIndependently) {
   // b -> a is its own queue: a full a -> b direction does not block it.
   EXPECT_TRUE(ch.b().send({9}));
   EXPECT_EQ(*ch.a().try_recv(), (Frame{9}));
-}
-
-TEST(RpcCampaign, MatchesInProcessCampaignOnLinux) {
-  const auto& world = shared_world();
-  core::CampaignOptions opt;
-  opt.cap = 40;
-  const auto direct =
-      core::Campaign::run(OsVariant::kLinux, world.registry, opt);
-
-  Channel ch;
-  TestClient client(ch.b(), OsVariant::kLinux, world.registry, 40,
-                    opt.seed);
-  TestServer server(ch.a(), world.registry, 40, opt.seed);
-  const auto over_rpc =
-      server.run(OsVariant::kLinux, [&] { client.poll(); });
-
-  ASSERT_EQ(direct.stats.size(), over_rpc.stats.size());
-  for (std::size_t i = 0; i < direct.stats.size(); ++i) {
-    EXPECT_EQ(direct.stats[i].mut->name, over_rpc.stats[i].mut->name);
-    EXPECT_EQ(direct.stats[i].aborts, over_rpc.stats[i].aborts)
-        << direct.stats[i].mut->name;
-    EXPECT_EQ(direct.stats[i].restarts, over_rpc.stats[i].restarts)
-        << direct.stats[i].mut->name;
-    EXPECT_EQ(direct.stats[i].passes, over_rpc.stats[i].passes)
-        << direct.stats[i].mut->name;
-  }
-  EXPECT_EQ(direct.total_cases, over_rpc.total_cases);
-}
-
-TEST(RpcCampaign, CrashesAreReportedAndRebooted) {
-  const auto& world = shared_world();
-  Channel ch;
-  TestClient client(ch.b(), OsVariant::kWin98, world.registry, 30,
-                    0x8a11157a);
-  TestServer server(ch.a(), world.registry, 30, 0x8a11157a);
-  const auto result = server.run(OsVariant::kWin98, [&] { client.poll(); });
-  const auto* gtc = result.find("GetThreadContext");
-  ASSERT_NE(gtc, nullptr);
-  EXPECT_TRUE(gtc->catastrophic);
-  EXPECT_TRUE(gtc->crash_reproducible_single);  // Listing 1 reproduces
-  EXPECT_GT(client.reboots(), 0);
-  EXPECT_GT(result.reboots, 0);
 }
 
 TEST(CeFileDrop, ResultsTravelThroughTheTargetFilesystem) {
