@@ -12,11 +12,18 @@
 //
 // Rates vary with the host; shard counts and outcome bytes must not (the
 // session logs are gated byte-identical against solo runs by the tests).
+//
+// Usage: bench_rpc [--reps N]  (default 1).  Each service rate is reported
+// as the median of N runs, with their min and max beside it.
+#include <algorithm>
 #include <chrono>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "harness/world.h"
@@ -157,24 +164,64 @@ double service_shards_per_second(const harness::World& world, unsigned jobs,
   return static_cast<double>(*shards) / seconds_since(start);
 }
 
+/// Median, min and max of `runs` service passes at `jobs`.
+struct Rate {
+  double median = 0, min = 0, max = 0;
+};
+
+Rate service_rate(const harness::World& world, unsigned jobs, int runs,
+                  std::uint64_t* shards) {
+  std::vector<double> rates;
+  for (int i = 0; i < runs; ++i)
+    rates.push_back(service_shards_per_second(world, jobs, shards));
+  std::sort(rates.begin(), rates.end());
+  const std::size_t n = rates.size();
+  const double median = n % 2 == 1 ? rates[n / 2]
+                                   : (rates[n / 2 - 1] + rates[n / 2]) / 2;
+  return {median, rates.front(), rates.back()};
+}
+
+void write_rate(std::ostream& out, const char* key, const Rate& r) {
+  out << "\"" << key << "\": " << r.median << ", \"" << key
+      << "_min\": " << r.min << ", \"" << key << "_max\": " << r.max;
+}
+
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  int reps = 1;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
+      reps = std::atoi(argv[++i]);
+    } else {
+      std::cerr << "usage: bench_rpc [--reps N]\n";
+      return 2;
+    }
+  }
+  if (reps < 1) {
+    std::cerr << "bench_rpc: --reps must be at least 1\n";
+    return 2;
+  }
+
   std::uint64_t bytes_per_frame = 0;
   const double wire = frames_per_second(&bytes_per_frame);
 
   const auto world = harness::build_world();
   std::uint64_t shards1 = 0, shards4 = 0;
-  const double solo = service_shards_per_second(*world, 1, &shards1);
-  const double quad = service_shards_per_second(*world, 4, &shards4);
+  const Rate solo = service_rate(*world, 1, reps, &shards1);
+  const Rate quad = service_rate(*world, 4, reps, &shards4);
 
   std::ostringstream json;
   json << "{\n  \"bench\": \"rpc\",\n"
-       << "  \"wire\": {\"frames_per_s\": " << wire
+       << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
+       << ",\n  \"wire\": {\"frames_per_s\": " << wire
        << ", \"mean_frame_bytes\": " << bytes_per_frame << "},\n"
        << "  \"service\": {\"sessions\": 4, \"shards\": " << shards1
-       << ", \"shards_per_s_jobs1\": " << solo
-       << ", \"shards_per_s_jobs4\": " << quad << "}\n}\n";
+       << ", \"reps\": " << reps << ",\n    ";
+  write_rate(json, "shards_per_s_jobs1", solo);
+  json << ",\n    ";
+  write_rate(json, "shards_per_s_jobs4", quad);
+  json << "}\n}\n";
   std::cout << json.str();
   std::ofstream("BENCH_rpc.json") << json.str();
   return shards1 == shards4 ? 0 : 1;  // same plan either way, by contract

@@ -256,6 +256,54 @@ Plan plan_for(sim::OsVariant variant, const Registry& registry,
   return make_plan(variant, registry, popt);
 }
 
+struct Workers::Threads {
+  Task task;
+  std::vector<std::thread> threads;
+  std::atomic<bool> stop{false};
+  /// Bumped by notify() and stop(); parked threads wait on it.
+  std::atomic<std::uint32_t> epoch{0};
+
+  void loop(unsigned w) {
+    for (;;) {
+      // Read the epoch before looking for work: a notify() that lands after
+      // the look makes the wait below return at once, so no wake-up is lost.
+      const std::uint32_t seen = epoch.load(std::memory_order_acquire);
+      if (stop.load(std::memory_order_acquire)) return;
+      if (!task(w)) epoch.wait(seen, std::memory_order_acquire);
+    }
+  }
+};
+
+Workers::Workers() = default;
+
+Workers::~Workers() { stop(); }
+
+void Workers::start(unsigned n, Task task) {
+  threads_ = std::make_unique<Threads>();
+  threads_->task = std::move(task);
+  try {
+    for (unsigned w = 1; w < n; ++w)
+      threads_->threads.emplace_back(&Threads::loop, threads_.get(), w);
+  } catch (...) {  // thread creation failed: stop and join what started
+    stop();
+    throw;
+  }
+}
+
+void Workers::notify() {
+  if (!threads_) return;
+  threads_->epoch.fetch_add(1, std::memory_order_release);
+  threads_->epoch.notify_all();
+}
+
+void Workers::stop() {
+  if (!threads_) return;
+  threads_->stop.store(true, std::memory_order_release);
+  notify();
+  for (std::thread& t : threads_->threads) t.join();
+  threads_->threads.clear();
+}
+
 namespace {
 
 /// Wait-free completion hand-off: each worker appends finished shard indices
@@ -278,14 +326,12 @@ ExecuteStats execute(std::size_t shards, unsigned jobs,
   std::vector<CompletionRing> rings(tasks.done ? jobs : 0);
   for (CompletionRing& r : rings) r.slots.resize(shards);
   std::atomic<bool> stop{false};
-  std::atomic<unsigned> active{jobs};
-  // Bumped after every publish and every worker exit; the calling thread
+  // Indices a worker took from the queue and finished with (run, cache hit
+  // or error); every one is published before it is counted here.
+  std::atomic<std::size_t> settled{0};
+  // Bumped after every index a spawned worker settles; the calling thread
   // sleeps on it instead of polling once its own share is done.
   std::atomic<std::uint32_t> signal{0};
-  const auto wake = [&signal] {
-    signal.fetch_add(1);
-    signal.notify_one();
-  };
 
   // Calling thread only: it is the rings' sole consumer, so `done` calls are
   // serialized without a lock and never run on a spawned worker.  A throwing
@@ -306,55 +352,55 @@ ExecuteStats execute(std::size_t shards, unsigned jobs,
     }
   };
 
+  // One queue index for worker w; false once the queue is dry or stopped.
   // Worker 0 is the calling thread, which drains the rings after each of its
-  // own shards; workers 1..jobs-1 are threads.  So jobs = 1 starts none and
-  // reports each shard before claiming the next, in plan order.
+  // own shards; so jobs = 1 starts no thread and reports each shard before
+  // claiming the next, in plan order.
   std::vector<std::exception_ptr> errors(jobs);
-  const auto worker = [&](unsigned w) {
+  const auto step = [&](unsigned w) {
+    if (stop.load(std::memory_order_relaxed)) return false;
+    const std::optional<std::size_t> i = queue.next(w);
+    if (!i) return false;
     try {
-      while (!stop.load(std::memory_order_relaxed)) {
-        const std::optional<std::size_t> i = queue.next(w);
-        if (!i) break;
-        if (tasks.cached && tasks.cached(*i)) continue;
+      if (!(tasks.cached && tasks.cached(*i))) {
         tasks.run(w, *i);
         if (tasks.done) {
           CompletionRing& r = rings[w];
           const std::size_t n = r.published.load(std::memory_order_relaxed);
           r.slots[n] = *i;
           r.published.store(n + 1, std::memory_order_release);
-          if (w == 0)
-            drain();
-          else
-            wake();
+          if (w == 0) drain();
         }
       }
     } catch (...) {
       errors[w] = std::current_exception();
       stop.store(true, std::memory_order_relaxed);
     }
-    active.fetch_sub(1);
-    wake();
+    settled.fetch_add(1);
+    if (w != 0) {
+      signal.fetch_add(1);
+      signal.notify_one();
+    }
+    return true;
   };
-  std::vector<std::thread> threads;
-  threads.reserve(jobs - 1);
-  try {
-    for (unsigned w = 1; w < jobs; ++w) threads.emplace_back(worker, w);
-  } catch (...) {  // thread creation failed: stop and join what started
-    stop.store(true, std::memory_order_relaxed);
-    for (std::thread& t : threads) t.join();
-    throw;
+  Workers workers;
+  workers.start(jobs, step);
+  while (step(0)) {
   }
-  worker(0);
   if (tasks.done) {
     for (;;) {
       const std::uint32_t seen = signal.load();
-      const bool final_pass = active.load() == 0;
+      const bool final_pass =
+          settled.load() == shards || stop.load(std::memory_order_relaxed);
       drain();
       if (hook_error || final_pass) break;
       signal.wait(seen);
     }
   }
-  for (std::thread& t : threads) t.join();
+  // Every index is settled, or the queue is stopped: the join waits out the
+  // shards still running, and a last drain reports the ones they finished.
+  workers.stop();
+  if (tasks.done) drain();
   for (const std::exception_ptr& e : errors)
     if (e) std::rethrow_exception(e);
   if (hook_error) std::rethrow_exception(hook_error);

@@ -2,15 +2,18 @@
 //
 //   plan      (core/plan)      enumerate shards, no machine involved
 //   schedule  (core/workqueue) per-worker Chase–Lev deques + seeded stealing
-//   execute   (this file)      execute(): the one shard executor — N
-//                              workers (the calling thread plus N-1
-//                              threads) over a ShardQueue of shard indices,
-//                              per-worker completion rings drained by the
-//                              calling thread.  Base campaigns, crash
-//                              campaigns and the campaign server's batches
-//                              all run through it, at every jobs value; one
-//                              worker pops its deque in plan order, so jobs
-//                              = 1 is the exact sequential schedule.
+//   execute   (this file)      Workers: the persistent worker threads,
+//                              and the only place the engine starts
+//                              threads.  execute(): the one shard executor
+//                              — N workers (the calling thread plus N-1
+//                              Workers threads) over a ShardQueue of shard
+//                              indices, per-worker completion rings drained
+//                              by the calling thread.  Base and crash
+//                              campaigns run through it at every jobs value;
+//                              one worker pops its deque in plan order, so
+//                              jobs = 1 is the exact sequential schedule.
+//                              The campaign server keeps its own Workers
+//                              running ahead across steps (rpc/server.h).
 //                              run_shard mirrors the legacy single-machine
 //                              loop (crash blame, reboot bookkeeping, repro
 //                              pass) on one pooled machine
@@ -111,6 +114,38 @@ class MachinePool {
   std::vector<Slot> slots_;
 };
 
+/// Persistent worker threads.  start(n, task) starts threads for workers
+/// 1..n-1 — worker 0 is the caller, which calls the task itself when it
+/// wants to — and each loops on task(w) until stop().  Whenever task reports
+/// no work, the thread parks on an atomic wait until the next notify() or
+/// stop(); it never spins.  The task must not throw: callers capture their
+/// own errors and rethrow them on their own thread.
+class Workers {
+ public:
+  /// Runs one unit of work for worker `w`; false when there was none.
+  using Task = std::function<bool(unsigned w)>;
+
+  Workers();
+  Workers(const Workers&) = delete;
+  Workers& operator=(const Workers&) = delete;
+  ~Workers();  // stop()
+
+  /// Starts the threads for workers 1..n-1 (none for n <= 1).  Call at most
+  /// once.  If a thread cannot be started, stops the ones that did and
+  /// rethrows.
+  void start(unsigned n, Task task);
+  bool started() const noexcept { return threads_ != nullptr; }
+  /// New work was published: wakes every parked thread.
+  void notify();
+  /// Lets each thread finish its current task, then joins them all.
+  /// Idempotent.
+  void stop();
+
+ private:
+  struct Threads;
+  std::unique_ptr<Threads> threads_;  // null until start()
+};
+
 /// The three callbacks execute() drives.  `cached` and `run` are called by
 /// the workers, concurrently when jobs > 1 (worker 0 is the calling thread);
 /// `done` only on the thread that called execute(), one call at a time.
@@ -134,12 +169,11 @@ struct ExecuteStats {
   std::uint64_t contended_steals = 0;
 };
 
-/// The shard executor, and the only place the engine starts threads: runs
-/// tasks for every shard index in [0, shards) on min(jobs, shards) workers —
-/// the calling thread and one new thread per further worker, all joined
-/// before it returns.  An exception from `run` stops the queue and is
-/// rethrown after the join (worker errors take precedence over a `done`
-/// error).
+/// The shard executor: runs tasks for every shard index in [0, shards) on
+/// min(jobs, shards) workers — the calling thread plus a Workers set of
+/// jobs - 1 threads, started for the call and joined before it returns.  An
+/// exception from `run` stops the queue and is rethrown after the join
+/// (worker errors take precedence over a `done` error).
 ExecuteStats execute(std::size_t shards, unsigned jobs,
                      const ShardTasks& tasks);
 

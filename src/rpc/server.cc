@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <exception>
+#include <limits>
 #include <utility>
 
 #include "store/format.h"
@@ -21,7 +23,21 @@ std::string fingerprint_hex(std::uint64_t fp) {
   return buf;
 }
 
+enum UnitState : std::uint8_t { kIdle, kClaimed, kDone };
+
 }  // namespace
+
+struct CampaignServer::Unit {
+  Session* session = nullptr;
+  std::size_t shard = 0;
+  /// kIdle -> kClaimed by whichever thread will run it (under ahead_mu_
+  /// while the unit is in the forecast), -> kDone with a release store once
+  /// `outcome` or `error` is written.
+  std::atomic<std::uint8_t> state{kIdle};
+  core::ShardOutcome outcome;
+  std::exception_ptr error;
+  std::uint64_t stamp = 0;  // forecast_gen_ of the last forecast holding it
+};
 
 CampaignServer::CampaignServer(const core::Registry& registry, ServerConfig cfg)
     : registry_(registry),
@@ -30,6 +46,8 @@ CampaignServer::CampaignServer(const core::Registry& registry, ServerConfig cfg)
   if (cfg_.jobs == 0) cfg_.jobs = 1;
   if (cfg_.quota == 0) cfg_.quota = 1;
 }
+
+CampaignServer::~CampaignServer() { workers_.stop(); }
 
 void CampaignServer::bind(Endpoint& transport) {
   if (std::find(transports_.begin(), transports_.end(), &transport) ==
@@ -193,70 +211,215 @@ void CampaignServer::handle_detach(Endpoint& ep, const Detach& d) {
   s.detach();
 }
 
-bool CampaignServer::schedule_round() {
+CampaignServer::Unit& CampaignServer::unit(Session& s, std::size_t shard) {
+  std::unique_ptr<Unit>& u = units_[{s.id(), shard}];
+  if (!u) {
+    u = std::make_unique<Unit>();
+    u->session = &s;
+    u->shard = shard;
+  }
+  return *u;
+}
+
+template <class Emit>
+void CampaignServer::replay_rounds(std::size_t rounds, Emit emit) {
   // Candidates: attached sessions with pending shards, visited in id order
   // rotated by the round counter, so long-lived sessions cannot starve
   // newcomers (nor vice versa) and the interleaving is deterministic.
-  std::vector<Session*> ring;
+  // Each session hands out its pending shards in index order; `next` is the
+  // one it would hand out now.
+  struct Member {
+    Session* session;
+    std::optional<std::size_t> next;
+    std::uint64_t taken = 0;
+  };
+  std::vector<Member> members;
   for (auto& [id, s] : sessions_) {
     if (s->state() == SessionState::kAttached && !s->all_done()) {
       s->rewind_cursor();
-      ring.push_back(s.get());
+      members.push_back({s.get(), s->take_next_pending()});
     }
   }
-  if (ring.empty()) return false;
-  std::rotate(ring.begin(),
-              ring.begin() + static_cast<std::ptrdiff_t>(round_ % ring.size()),
-              ring.end());
-  ++round_;
-
-  // Collect up to `jobs` (session, shard) pairs, one per session per pass,
-  // at most `quota` per session per round.
-  struct Unit {
-    Session* session;
-    std::size_t shard;
-    core::ShardOutcome outcome;
-  };
-  std::vector<Unit> batch;
-  std::vector<std::uint64_t> taken(ring.size(), 0);
-  bool any_taken = true;
-  while (batch.size() < cfg_.jobs && any_taken) {
-    any_taken = false;
-    for (std::size_t i = 0; i < ring.size() && batch.size() < cfg_.jobs; ++i) {
-      if (taken[i] >= cfg_.quota) continue;
-      if (const std::optional<std::size_t> shard = ring[i]->take_next_pending()) {
-        batch.push_back(Unit{ring[i], *shard, {}});
-        ++taken[i];
+  std::vector<Member*> ring;
+  for (std::size_t r = 0; r < rounds; ++r) {
+    ring.clear();
+    for (Member& m : members) {
+      m.taken = 0;
+      if (m.next) ring.push_back(&m);
+    }
+    if (ring.empty()) return;
+    std::rotate(ring.begin(),
+                ring.begin() + static_cast<std::ptrdiff_t>((round_ + r) %
+                                                           ring.size()),
+                ring.end());
+    // Up to `jobs` (session, shard) pairs, one per session per pass, at most
+    // `quota` per session per round.
+    std::size_t collected = 0;
+    for (bool any_taken = true; any_taken && collected < cfg_.jobs;) {
+      any_taken = false;
+      for (Member* m : ring) {
+        if (collected == cfg_.jobs) break;
+        if (m->taken >= cfg_.quota || !m->next) continue;
+        emit(r, *m->session, *m->next);
+        m->next = m->session->take_next_pending();
+        ++m->taken;
+        ++collected;
         any_taken = true;
       }
     }
   }
-  if (batch.empty()) return false;
+}
 
-  // Execute the batch on the shared executor, one pooled machine per worker.
+void CampaignServer::plan_ahead(const std::vector<Unit*>& batch) {
+  bool predicted = false;
+  {
+    const std::lock_guard<std::mutex> lock(ahead_mu_);
+    if (!forecast_stale_ && ahead_.size() >= batch.size() &&
+        std::equal(batch.begin(), batch.end(), ahead_.begin())) {
+      // The round is the forecast's head, as predicted: the rest of the
+      // forecast still follows from the round rule.
+      ahead_.erase(ahead_.begin(),
+                   ahead_.begin() + static_cast<std::ptrdiff_t>(batch.size()));
+      ahead_scan_ -= std::min(ahead_scan_, batch.size());
+      predicted = true;
+    }
+  }
+  if (predicted) {
+    if (orphans_ > 0) sweep();
+    return;
+  }
+  // Rebuild from the rounds after this one.  Units already claimed or run
+  // for a pair the new forecast still holds are kept, not rerun.
+  ++forecast_gen_;
+  for (Unit* u : batch) u->stamp = forecast_gen_;
+  std::deque<Unit*> forecast;
+  replay_rounds(std::numeric_limits<std::size_t>::max(),
+                [&](std::size_t r, Session& s, std::size_t shard) {
+                  if (r == 0) return;  // this step's round: `batch`
+                  Unit& u = unit(s, shard);
+                  u.stamp = forecast_gen_;
+                  forecast.push_back(&u);
+                });
+  {
+    const std::lock_guard<std::mutex> lock(ahead_mu_);
+    ahead_.swap(forecast);
+    ahead_scan_ = 0;
+  }
+  forecast_stale_ = false;
+  sweep();
+  workers_.notify();
+}
+
+void CampaignServer::sweep() {
+  orphans_ = 0;
+  for (auto it = units_.begin(); it != units_.end();) {
+    Unit& u = *it->second;
+    if (u.stamp == forecast_gen_) {
+      ++it;
+      continue;
+    }
+    const std::uint8_t state = u.state.load(std::memory_order_acquire);
+    if (state == kClaimed) {  // a worker still writes it; look again later
+      ++orphans_;
+      ++it;
+      continue;
+    }
+    if (state == kDone) ++shards_discarded_;
+    it = units_.erase(it);
+  }
+}
+
+bool CampaignServer::run_ahead(unsigned worker) {
+  Unit* claimed = nullptr;
+  {
+    const std::lock_guard<std::mutex> lock(ahead_mu_);
+    while (claimed == nullptr && ahead_scan_ < ahead_.size()) {
+      Unit* u = ahead_[ahead_scan_++];
+      if (u->state.load(std::memory_order_relaxed) == kIdle) {
+        u->state.store(kClaimed, std::memory_order_relaxed);
+        claimed = u;
+      }
+    }
+  }
+  if (claimed == nullptr) return false;
+  run_unit(*claimed, worker);
+  return true;
+}
+
+void CampaignServer::run_unit(Unit& u, unsigned worker) {
   // Shard outcomes depend only on (variant, options, shard) — checkout()
   // hands over a fully reset (or freshly built, on variant change) machine —
-  // so the batch's partition across slots and threads cannot influence any
-  // result.
-  core::ShardTasks tasks;
-  tasks.run = [this, &batch](unsigned worker, std::size_t i) {
-    Unit& u = batch[i];
+  // so which slot, thread or step runs a unit cannot influence any result.
+  // The session fields read here are fixed at its construction.
+  try {
     u.outcome = core::run_shard(pool_.checkout(worker, u.session->variant()),
                                 u.session->plan().shards.at(u.shard),
                                 u.session->options());
+  } catch (...) {
+    u.error = std::current_exception();
+  }
+  u.state.store(kDone, std::memory_order_release);
+  // `u` may be gone from here on: the calling thread frees recorded units.
+  finished_.fetch_add(1, std::memory_order_release);
+  finished_.notify_one();
+}
+
+bool CampaignServer::schedule_round() {
+  std::vector<Unit*> batch;
+  replay_rounds(1, [&](std::size_t, Session& s, std::size_t shard) {
+    batch.push_back(&unit(s, shard));
+  });
+  if (cfg_.jobs > 1 && !batch.empty() && !workers_.started())
+    workers_.start(cfg_.jobs, [this](unsigned w) { return run_ahead(w); });
+  if (workers_.started()) plan_ahead(batch);
+  if (batch.empty()) return false;
+  ++round_;
+
+  // Worker 0's share: every unit of the round no worker has claimed (no
+  // worker can claim one any more: the round is off the forecast).  Then,
+  // while the rest of the round runs elsewhere, run ahead instead of idling.
+  for (Unit* u : batch) {
+    if (u->state.load(std::memory_order_relaxed) == kIdle) {
+      u->state.store(kClaimed, std::memory_order_relaxed);
+      run_unit(*u, 0);
+    }
+  }
+  const auto round_done = [&batch] {
+    return std::all_of(batch.begin(), batch.end(), [](const Unit* u) {
+      return u->state.load(std::memory_order_acquire) == kDone;
+    });
   };
-  core::execute(batch.size(), cfg_.jobs, tasks);
+  for (;;) {
+    const std::uint32_t seen = finished_.load(std::memory_order_acquire);
+    if (round_done()) break;
+    if (!run_ahead(0)) finished_.wait(seen, std::memory_order_acquire);
+  }
+
+  for (Unit* u : batch) {
+    if (u->error) {
+      // Rethrown in collection order, before anything of the round is
+      // recorded; the failed units go, so a later round reruns them.
+      const std::exception_ptr error = u->error;
+      for (Unit* f : batch)
+        if (f->error) units_.erase({f->session->id(), f->shard});
+      forecast_stale_ = true;
+      std::rethrow_exception(error);
+    }
+  }
   shards_executed_ += batch.size();
 
   // Record, stream and (maybe) seal in collection order — the same order a
   // jobs=1 server would have produced, which is what keeps every session's
   // log bytes independent of the jobs setting.
-  for (Unit& u : batch) {
-    Session& s = *u.session;
+  for (Unit* u : batch) {
+    Session& s = *u->session;
+    core::ShardOutcome outcome = std::move(u->outcome);
+    units_.erase({s.id(), u->shard});
     if (s.state() != SessionState::kAttached) continue;  // detached mid-batch
-    if (!s.record(std::move(u.outcome))) {
+    if (!s.record(std::move(outcome))) {
       Endpoint* ep = s.transport();
       s.detach();
+      forecast_stale_ = true;
       if (ep != nullptr)
         send_error(*ep, ErrorCode::kStoreFailure, s.id(),
                    "could not append to " + s.log()->path());
@@ -265,6 +428,7 @@ bool CampaignServer::schedule_round() {
     if (s.all_done() && !s.finish()) {
       Endpoint* ep = s.transport();
       s.detach();
+      forecast_stale_ = true;
       if (ep != nullptr)
         send_error(*ep, ErrorCode::kStoreFailure, s.id(),
                    "could not seal " + s.log()->path());
@@ -278,6 +442,7 @@ bool CampaignServer::step() {
   for (Endpoint* ep : transports_) {
     while (const std::optional<Frame> f = ep->try_recv()) {
       progressed = true;
+      forecast_stale_ = true;  // a hello or detach may change the rounds
       if (std::optional<Message> m = decode(*f))
         handle(*ep, std::move(*m));
       else

@@ -21,6 +21,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -328,6 +329,193 @@ TEST(CampaignService, ReattachStreamsOnlyTheMissingShards) {
       store::load_result(world.registry, server.log_path(header));
   ASSERT_TRUE(loaded.ok) << loaded.error;
   expect_same_result(ref.result, loaded.result, "loaded session log");
+}
+
+// --- run-ahead ----------------------------------------------------------------
+
+/// The round rule restated: which shards each step records.  Per step, the
+/// sessions with pending shards, in id order rotated by the round count,
+/// give up to `jobs` shards, one per session per pass, at most `quota` each.
+struct RoundModel {
+  std::vector<std::size_t> pending;  // per session, in id order
+  std::vector<std::size_t> done;
+  std::size_t executed = 0;
+  std::uint64_t round = 0;
+
+  void step(unsigned jobs, std::uint64_t quota) {
+    std::vector<std::size_t> ring;
+    for (std::size_t i = 0; i < pending.size(); ++i)
+      if (pending[i] > 0) ring.push_back(i);
+    if (ring.empty()) return;
+    std::rotate(ring.begin(),
+                ring.begin() + static_cast<std::ptrdiff_t>(round % ring.size()),
+                ring.end());
+    ++round;
+    std::vector<std::uint64_t> taken(ring.size(), 0);
+    std::size_t batch = 0;
+    for (bool any = true; any && batch < jobs;) {
+      any = false;
+      for (std::size_t k = 0; k < ring.size() && batch < jobs; ++k) {
+        const std::size_t i = ring[k];
+        if (taken[k] >= quota || pending[i] == 0) continue;
+        --pending[i];
+        ++done[i];
+        ++taken[k];
+        ++batch;
+        any = true;
+      }
+    }
+    executed += batch;
+  }
+};
+
+TEST(CampaignService, StepsRecordTheSameRoundsAtAnyJobs) {
+  const TinyWorld world;
+  // Three campaigns of different lengths (16, 8 and 6 shards), so sessions
+  // drop out of the ring at different rounds.
+  const OsVariant variants[] = {OsVariant::kWinNT4, OsVariant::kWin95,
+                                OsVariant::kLinux};
+  std::vector<CampaignOptions> opts;
+  for (const std::uint64_t shard_cases : {1u, 2u, 3u}) {
+    CampaignOptions opt = tiny_options();
+    opt.shard_cases = shard_cases;
+    opts.push_back(opt);
+  }
+
+  for (const unsigned jobs : {1u, 2u, 4u}) {
+    // Per step: every session's done_count, then shards_executed.
+    std::vector<std::vector<std::size_t>> first_trace;
+    for (int repeat = 0; repeat < 5; ++repeat) {
+      const std::string label =
+          "jobs=" + std::to_string(jobs) + " repeat " + std::to_string(repeat);
+      ServerConfig cfg;
+      cfg.jobs = jobs;
+      CampaignServer server(world.registry, cfg);
+      std::vector<std::unique_ptr<Channel>> channels;
+      std::vector<std::unique_ptr<CampaignClient>> clients;
+      RoundModel model;
+      for (std::size_t i = 0; i < 3; ++i) {
+        channels.push_back(std::make_unique<Channel>());
+        server.bind(channels.back()->a());
+        clients.push_back(std::make_unique<CampaignClient>(
+            channels.back()->b(), world.registry, variants[i], opts[i]));
+        ASSERT_TRUE(clients.back()->hello()) << label;
+        model.pending.push_back(clients.back()->plan().shards.size());
+        model.done.push_back(0);
+      }
+
+      std::vector<std::vector<std::size_t>> trace;
+      for (int step = 0; step < 200; ++step) {
+        server.step();  // the first step also handles the three hellos
+        model.step(jobs, cfg.quota);
+        std::vector<std::size_t> seen;
+        for (std::uint64_t id = 1; id <= 3; ++id) {
+          const Session* s = server.session(id);
+          ASSERT_NE(s, nullptr) << label;
+          seen.push_back(s->done_count());
+          EXPECT_EQ(s->done_count(), model.done[id - 1])
+              << label << " step " << step << " session " << id;
+        }
+        seen.push_back(server.shards_executed());
+        EXPECT_EQ(server.shards_executed(), model.executed)
+            << label << " step " << step;
+        trace.push_back(std::move(seen));
+
+        bool complete = true;
+        for (auto& c : clients) {
+          ASSERT_TRUE(c->poll()) << label;
+          complete = complete && c->complete();
+        }
+        if (complete) break;
+      }
+      for (std::size_t i = 0; i < clients.size(); ++i)
+        EXPECT_TRUE(clients[i]->complete()) << label << " client " << i;
+      if (repeat == 0)
+        first_trace = trace;
+      else
+        EXPECT_EQ(trace, first_trace) << label;
+    }
+  }
+}
+
+TEST(CampaignService, DetachDuringRunAheadStreamsOnlyMissingShards) {
+  const TinyWorld world;
+  CampaignOptions opt = tiny_options();
+  opt.shard_cases = 1;  // 16 shards: plenty for the workers to run ahead on
+  const OsVariant v = OsVariant::kLinux;
+
+  ServerConfig cfg;
+  cfg.jobs = 4;
+  cfg.log_dir = temp_dir("rpc_runahead_detach");
+  CampaignServer server(world.registry, cfg);
+  Channel ch;
+  server.bind(ch.a());
+
+  CampaignClient first(ch.b(), world.registry, v, opt);
+  ASSERT_TRUE(first.hello());
+  server.step();
+  server.step();
+  ASSERT_TRUE(first.poll());
+  ASSERT_TRUE(first.attached());
+  const std::size_t total = first.plan().shards.size();
+  first.detach();
+  server.step();  // server processes the kDetach
+  const Session* s = server.session(1);
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->state(), SessionState::kDetached);
+  const std::size_t done_at_detach = s->done_count();
+  EXPECT_GT(done_at_detach, 0u);
+  EXPECT_LT(done_at_detach, total);
+
+  // Parked: whatever the workers ran ahead for it is dropped, not recorded.
+  const std::size_t executed = server.shards_executed();
+  for (int i = 0; i < 3; ++i) server.step();
+  EXPECT_EQ(server.shards_executed(), executed);
+  EXPECT_EQ(s->done_count(), done_at_detach);
+  EXPECT_LE(server.shards_discarded(), total - done_at_detach);
+
+  CampaignClient second(ch.b(), world.registry, v, opt);
+  ASSERT_TRUE(second.hello());
+  pump(server, {&second});
+  ASSERT_TRUE(second.complete());
+  EXPECT_EQ(second.session_id(), 1u);
+  EXPECT_EQ(second.outcomes_received(), total - done_at_detach);
+
+  const std::string ref_dir = temp_dir("rpc_runahead_detach_ref");
+  const auto ref = store::run_with_store(v, world.registry, opt,
+                                         ref_dir + "/ref.blog", false);
+  ASSERT_TRUE(ref.ok) << ref.error;
+  const core::Plan plan = core::plan_for(v, world.registry, opt);
+  const store::RunHeader header = store::make_run_header(plan, opt);
+  EXPECT_EQ(slurp(server.log_path(header)), slurp(ref_dir + "/ref.blog"));
+}
+
+TEST(CampaignService, DestroyWhileRunningAhead) {
+  // Real MuTs, so the workers are still inside shards when the destructor
+  // stops them: it must join them, not hang or free what they use.
+  const auto& world = shared_world();
+  CampaignOptions opt;
+  opt.cap = 20;
+  const OsVariant variants[] = {OsVariant::kWinNT4, OsVariant::kWin95,
+                                OsVariant::kLinux};
+  std::vector<std::unique_ptr<Channel>> channels;
+  std::vector<std::unique_ptr<CampaignClient>> clients;
+  {
+    ServerConfig cfg;
+    cfg.jobs = 4;
+    CampaignServer server(world.registry, cfg);
+    for (const OsVariant v : variants) {
+      channels.push_back(std::make_unique<Channel>());
+      server.bind(channels.back()->a());
+      clients.push_back(std::make_unique<CampaignClient>(
+          channels.back()->b(), world.registry, v, opt));
+      ASSERT_TRUE(clients.back()->hello());
+    }
+    for (int i = 0; i < 3; ++i) EXPECT_TRUE(server.step());
+    EXPECT_EQ(server.shards_executed(), 3u * cfg.jobs);
+    for (auto& c : clients) EXPECT_FALSE(c->complete());
+  }
+  for (auto& c : clients) EXPECT_TRUE(c->poll());
 }
 
 TEST(CampaignService, AFreshServerResumesAPartialSessionLog) {

@@ -145,8 +145,9 @@ TEST_P(StoreFuzzSeeded, RandomGarbageNeverCrashesTheReader) {
     }
     const StoreContents got = read_store(junk);
     // Garbage may never fabricate a usable log.
-    if (got.status == ReadStatus::kOk)
+    if (got.status == ReadStatus::kOk) {
       EXPECT_TRUE(got.outcomes.empty() || !got.complete);
+    }
   }
 }
 
