@@ -9,8 +9,15 @@
 // Speedup is bounded by the host's core count (recorded as
 // "hardware_concurrency"); on a single-core host all worker counts
 // serialize and speedup stays ~1.0 while determinism is still exercised.
+//
+// Usage: bench_parallel_scaling [--cap N] [--seed S] [--reps N].  With
+// --reps N every worker count runs the campaign N times, interleaved
+// (1, 2, 4, 8, 1, 2, ...) so ambient noise hits all of them alike; each
+// timing is the median of its N runs, and cases/sec carries its min and max.
+// Every run of every worker count must match the first jobs-1 result.
 #include <chrono>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <thread>
 
@@ -54,39 +61,53 @@ int main(int argc, char** argv) {
   const auto opt = bench::parse_options(argc, argv);
   const auto world = harness::build_world();
 
-  struct Run {
-    unsigned jobs;
-    double seconds;
-    std::uint64_t cases;
+  // One timed pass of the seven-variant campaign at `jobs`.
+  struct Pass {
+    double seconds = 0;
     core::EngineMetrics metrics;  // summed over the 7 variants
   };
-  std::vector<Run> runs;
-  std::vector<std::vector<core::CampaignResult>> all_results;
-
-  for (unsigned jobs : {1u, 2u, 4u, 8u}) {
+  const auto run_pass = [&](unsigned jobs,
+                            std::vector<core::CampaignResult>* results) {
     core::CampaignOptions copt;
     copt.cap = opt.cap;
     copt.seed = opt.seed;
     copt.jobs = jobs;
-    Run run{jobs, 0.0, 0, {}};
-    std::vector<core::CampaignResult> results;
-    results.reserve(sim::kAllVariants.size());
+    Pass pass;
+    results->clear();
+    results->reserve(sim::kAllVariants.size());
     const auto start = std::chrono::steady_clock::now();
     for (sim::OsVariant v : sim::kAllVariants) {
       core::EngineMetrics m;
       copt.metrics = &m;
-      results.push_back(core::Campaign::run(v, world->registry, copt));
-      run.metrics.plan_seconds += m.plan_seconds;
-      run.metrics.execute_seconds += m.execute_seconds;
-      run.metrics.merge_seconds += m.merge_seconds;
-      run.metrics.shards += m.shards;
-      run.metrics.contended_steals += m.contended_steals;
-      run.metrics.machine_rebuilds += m.machine_rebuilds;
+      results->push_back(core::Campaign::run(v, world->registry, copt));
+      pass.metrics.plan_seconds += m.plan_seconds;
+      pass.metrics.execute_seconds += m.execute_seconds;
+      pass.metrics.merge_seconds += m.merge_seconds;
+      pass.metrics.shards += m.shards;
+      pass.metrics.contended_steals += m.contended_steals;
+      pass.metrics.machine_rebuilds += m.machine_rebuilds;
     }
-    run.seconds = secs_since(start);
-    for (const auto& r : results) run.cases += r.total_cases;
-    runs.push_back(run);
-    all_results.push_back(std::move(results));
+    pass.seconds = secs_since(start);
+    return pass;
+  };
+
+  const unsigned kJobs[] = {1u, 2u, 4u, 8u};
+  std::vector<std::vector<Pass>> passes(std::size(kJobs));
+  std::vector<core::CampaignResult> reference, results;
+  std::uint64_t cases = 0;
+  bool deterministic = true;
+  for (int rep = 0; rep < opt.reps; ++rep) {
+    for (std::size_t j = 0; j < std::size(kJobs); ++j) {
+      passes[j].push_back(run_pass(kJobs[j], &results));
+      if (reference.empty()) {
+        reference = std::move(results);
+        for (const auto& r : reference) cases += r.total_cases;
+        continue;
+      }
+      deterministic = deterministic && results.size() == reference.size();
+      for (std::size_t v = 0; deterministic && v < reference.size(); ++v)
+        deterministic = same_result(reference[v], results[v]);
+    }
   }
 
   // Standalone tuple-generation sweep: walk every planned case of every
@@ -123,40 +144,52 @@ int main(int argc, char** argv) {
     if (sink == 0x5eed) gen_seconds += 0;  // keep the sweep observable
   }
 
-  bool deterministic = true;
-  for (std::size_t j = 1; j < all_results.size(); ++j) {
-    if (all_results[j].size() != all_results[0].size()) deterministic = false;
-    for (std::size_t v = 0; deterministic && v < all_results[0].size(); ++v)
-      if (!same_result(all_results[0][v], all_results[j][v]))
-        deterministic = false;
-  }
-
   std::ostringstream json;
   json << "{\n  \"bench\": \"parallel_scaling\",\n"
        << "  \"cap\": " << opt.cap << ",\n"
        << "  \"seed\": " << opt.seed << ",\n"
        << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
        << ",\n  \"deterministic\": " << (deterministic ? "true" : "false")
+       << ",\n  \"reps\": " << opt.reps
        << ",\n  \"generate_seconds\": " << gen_seconds
        << ",\n  \"generate_cases\": " << gen_cases
        << ",\n  \"generate_cases_per_sec\": "
        << (gen_seconds > 0 ? gen_cases / gen_seconds : 0)
        << ",\n  \"runs\": [\n";
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const Run& r = runs[i];
-    const double rate = r.seconds > 0 ? r.cases / r.seconds : 0;
-    const double speedup =
-        r.seconds > 0 ? runs[0].seconds / r.seconds : 0;
-    json << "    {\"jobs\": " << r.jobs << ", \"seconds\": " << r.seconds
-         << ", \"cases\": " << r.cases << ", \"cases_per_sec\": " << rate
-         << ", \"speedup\": " << speedup
-         << ",\n     \"plan_seconds\": " << r.metrics.plan_seconds
-         << ", \"execute_seconds\": " << r.metrics.execute_seconds
-         << ", \"merge_seconds\": " << r.metrics.merge_seconds
-         << ", \"shards\": " << r.metrics.shards
-         << ", \"contended_steals\": " << r.metrics.contended_steals
-         << ", \"machine_rebuilds\": " << r.metrics.machine_rebuilds << "}"
-         << (i + 1 < runs.size() ? "," : "") << "\n";
+  // Medians over the repetitions of one worker count.
+  const auto median_of = [](const std::vector<Pass>& ps, auto field) {
+    std::vector<double> xs;
+    for (const Pass& p : ps) xs.push_back(static_cast<double>(field(p)));
+    return bench::spread(std::move(xs)).median;
+  };
+  const double jobs1_seconds =
+      median_of(passes[0], [](const Pass& p) { return p.seconds; });
+  for (std::size_t i = 0; i < passes.size(); ++i) {
+    const std::vector<Pass>& ps = passes[i];
+    std::vector<double> rates;
+    for (const Pass& p : ps)
+      rates.push_back(p.seconds > 0 ? cases / p.seconds : 0);
+    const double seconds =
+        median_of(ps, [](const Pass& p) { return p.seconds; });
+    json << "    {\"jobs\": " << kJobs[i] << ", \"seconds\": " << seconds
+         << ", \"cases\": " << cases << ", ";
+    bench::write_spread(json, "cases_per_sec", bench::spread(rates));
+    json << ", \"speedup\": " << (seconds > 0 ? jobs1_seconds / seconds : 0)
+         << ",\n     \"plan_seconds\": "
+         << median_of(ps, [](const Pass& p) { return p.metrics.plan_seconds; })
+         << ", \"execute_seconds\": "
+         << median_of(ps,
+                      [](const Pass& p) { return p.metrics.execute_seconds; })
+         << ", \"merge_seconds\": "
+         << median_of(ps, [](const Pass& p) { return p.metrics.merge_seconds; })
+         << ", \"shards\": " << ps.front().metrics.shards
+         << ", \"contended_steals\": "
+         << median_of(ps,
+                      [](const Pass& p) { return p.metrics.contended_steals; })
+         << ", \"machine_rebuilds\": "
+         << median_of(ps,
+                      [](const Pass& p) { return p.metrics.machine_rebuilds; })
+         << "}" << (i + 1 < passes.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";
 

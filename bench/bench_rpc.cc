@@ -15,7 +15,6 @@
 //
 // Usage: bench_rpc [--reps N]  (default 1).  Each service rate is reported
 // as the median of N runs, with their min and max beside it.
-#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -26,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "harness/world.h"
 #include "rpc/channel.h"
 #include "rpc/protocol.h"
@@ -165,25 +165,12 @@ double service_shards_per_second(const harness::World& world, unsigned jobs,
 }
 
 /// Median, min and max of `runs` service passes at `jobs`.
-struct Rate {
-  double median = 0, min = 0, max = 0;
-};
-
-Rate service_rate(const harness::World& world, unsigned jobs, int runs,
-                  std::uint64_t* shards) {
+bench::Spread service_rate(const harness::World& world, unsigned jobs,
+                           int runs, std::uint64_t* shards) {
   std::vector<double> rates;
   for (int i = 0; i < runs; ++i)
     rates.push_back(service_shards_per_second(world, jobs, shards));
-  std::sort(rates.begin(), rates.end());
-  const std::size_t n = rates.size();
-  const double median = n % 2 == 1 ? rates[n / 2]
-                                   : (rates[n / 2 - 1] + rates[n / 2]) / 2;
-  return {median, rates.front(), rates.back()};
-}
-
-void write_rate(std::ostream& out, const char* key, const Rate& r) {
-  out << "\"" << key << "\": " << r.median << ", \"" << key
-      << "_min\": " << r.min << ", \"" << key << "_max\": " << r.max;
+  return bench::spread(std::move(rates));
 }
 
 }  // namespace
@@ -208,8 +195,8 @@ int main(int argc, char** argv) {
 
   const auto world = harness::build_world();
   std::uint64_t shards1 = 0, shards4 = 0;
-  const Rate solo = service_rate(*world, 1, reps, &shards1);
-  const Rate quad = service_rate(*world, 4, reps, &shards4);
+  const bench::Spread solo = service_rate(*world, 1, reps, &shards1);
+  const bench::Spread quad = service_rate(*world, 4, reps, &shards4);
 
   std::ostringstream json;
   json << "{\n  \"bench\": \"rpc\",\n"
@@ -218,9 +205,9 @@ int main(int argc, char** argv) {
        << ", \"mean_frame_bytes\": " << bytes_per_frame << "},\n"
        << "  \"service\": {\"sessions\": 4, \"shards\": " << shards1
        << ", \"reps\": " << reps << ",\n    ";
-  write_rate(json, "shards_per_s_jobs1", solo);
+  bench::write_spread(json, "shards_per_s_jobs1", solo);
   json << ",\n    ";
-  write_rate(json, "shards_per_s_jobs4", quad);
+  bench::write_spread(json, "shards_per_s_jobs4", quad);
   json << "}\n}\n";
   std::cout << json.str();
   std::ofstream("BENCH_rpc.json") << json.str();

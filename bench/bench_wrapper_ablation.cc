@@ -27,7 +27,7 @@ core::ApiImpl add_file_table_check(const core::MuT& m,
       ctx.proc().set_errno(EBADF);
       return core::error_reported(static_cast<std::uint64_t>(-1));
     }
-    return inner(ctx);
+    return inner.run(ctx);
   };
 }
 
@@ -64,7 +64,7 @@ core::ApiImpl add_pointer_probes(const core::MuT& m) {
         return core::error_reported(static_cast<std::uint64_t>(-1));
       }
     }
-    return inner(ctx);
+    return inner.run(ctx);
   };
 }
 

@@ -119,8 +119,10 @@ std::uint32_t file_field_read(CallContext& ctx, Addr fp, Addr off) {
   if (ctx.os().crt_in_kernel) {
     std::uint32_t v = 0;
     // Hazard/probe semantics applied by the context; a kSilent (deferred
-    // stub) result reads as zero, which downstream treats as garbage.
-    ctx.k_read_u32(fp + off, &v);
+    // stub) result reads as zero, which downstream treats as garbage.  This
+    // accessor cannot return a CallOutcome, so a fault in the task throws.
+    if (ctx.k_read_u32(fp + off, &v) == MemStatus::kFault)
+      ctx.raise_pending_fault();
     return v;
   }
   return ctx.proc().mem().read_u32(fp + off, sim::Access::kUser);
@@ -128,7 +130,8 @@ std::uint32_t file_field_read(CallContext& ctx, Addr fp, Addr off) {
 
 void file_field_write(CallContext& ctx, Addr fp, Addr off, std::uint32_t v) {
   if (ctx.os().crt_in_kernel) {
-    ctx.k_write_u32(fp + off, v);
+    if (ctx.k_write_u32(fp + off, v) == MemStatus::kFault)
+      ctx.raise_pending_fault();
     return;
   }
   ctx.proc().mem().write_u32(fp + off, v, sim::Access::kUser);
@@ -189,10 +192,12 @@ FileRef resolve_file(CallContext& ctx, Addr fp, bool ce_prevalidates) {
       // addressing these dereferences land in the shared slot space and
       // corrupt it (panic timing decided by the MuT's hazard style).
       const Addr lock = file_field_read(ctx, fp, kFileOffLock);
-      ctx.k_write_u32(lock, 1);
+      if (ctx.k_write_u32(lock, 1) == MemStatus::kFault)
+        ctx.raise_pending_fault();
       const Addr buf = file_field_read(ctx, fp, kFileOffBuf);
       std::uint32_t scratch = 0;
-      ctx.k_read_u32(buf, &scratch);
+      if (ctx.k_read_u32(buf, &scratch) == MemStatus::kFault)
+        ctx.raise_pending_fault();
       proc.set_errno(EBADF);
       return ref;
     }

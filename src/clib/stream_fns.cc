@@ -38,14 +38,15 @@ void maybe_block_on_stdin(CallContext& ctx, const FileRef& ref) {
 }
 
 /// Stores bytes at a task address; hazard-active MuTs (Win98 fwrite, CE
-/// fread/fgets) stage through kernel memory.
-bool store_bytes(CallContext& ctx, Addr a, std::span<const std::uint8_t> in) {
+/// fread/fgets) stage through kernel memory.  Like load_bytes, it cannot
+/// return a CallOutcome, so a fault in the task throws (the hazard paths
+/// corrupt or panic inside the helper instead).
+void store_bytes(CallContext& ctx, Addr a, std::span<const std::uint8_t> in) {
   if (ctx.hazard() != core::CrashStyle::kNone) {
-    (void)ctx.k_write(a, in);  // corruption/panic handled inside
-    return true;
+    if (ctx.k_write(a, in) == MemStatus::kFault) ctx.raise_pending_fault();
+    return;
   }
   ctx.proc().mem().write_bytes(a, in, sim::Access::kUser);
-  return true;
 }
 
 std::vector<std::uint8_t> load_bytes(CallContext& ctx, Addr a,
@@ -54,7 +55,7 @@ std::vector<std::uint8_t> load_bytes(CallContext& ctx, Addr a,
   if (ctx.hazard() == core::CrashStyle::kNone)
     return gather_bytes(ctx.proc().mem(), a, n);
   std::vector<std::uint8_t> out(n);
-  (void)ctx.k_read(a, out);
+  if (ctx.k_read(a, out) == MemStatus::kFault) ctx.raise_pending_fault();
   return out;
 }
 

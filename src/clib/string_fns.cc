@@ -6,8 +6,10 @@
 // per-variant hazard entries: strncpy's optimized copy path on Windows 98 /
 // 98 SE (and _tcsncpy on CE) stages the transfer through kernel memory,
 // reproducing the paper's `*strncpy` / `*_tcsncpy` Catastrophic entries.
+#include <cerrno>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 
 #include "clib/crt.h"
@@ -111,6 +113,7 @@ core::ApiImpl strncpy_fn(CharWidth w) {
         block[i * w.bytes] = static_cast<std::uint8_t>(data[i]);
       const MemStatus s = ctx.k_write(dst, block);
       if (s == MemStatus::kSilent) return core::silent_success(dst);
+      if (s != MemStatus::kOk) return ctx.posix_mem_fail(s);
       return ok(dst);
     }
     CharScanner sc(ctx, src, w);
@@ -305,12 +308,12 @@ core::ApiImpl strtod_fn(CharWidth w) {
   return [w](CallContext& ctx) -> CallOutcome {
     const Addr nptr = ctx.arg_addr(0), endptr = ctx.arg_addr(1);
     const std::string s = c_str_host(ctx, nptr, w);
-    double v = 0;
-    try {
-      v = std::stod(s);
-    } catch (...) {
-      v = 0;
-    }
+    // std::stod's rule without its exceptions: 0 when nothing converts or
+    // the value is out of range.
+    char* end = nullptr;
+    errno = 0;
+    double v = std::strtod(s.c_str(), &end);
+    if (end == s.c_str() || errno == ERANGE) v = 0;
     if (endptr != 0) {
       ctx.proc().mem().write_u32(endptr, static_cast<std::uint32_t>(nptr),
                                  sim::Access::kUser);

@@ -26,6 +26,8 @@ enum class CallStatus : std::uint8_t {
   kSilentSuccess,  // returned success while knowingly doing nothing
                    // (the Win9x loose-stub path)
   kWrongError,     // failure return with a misleading error code (Hindering)
+  kFaulted,        // a kernel helper faulted in the task: the call never
+                   // returned (Abort; the fault is pending in the CallContext)
 };
 
 struct CallOutcome {

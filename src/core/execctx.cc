@@ -54,12 +54,10 @@ MemStatus CallContext::hazard_write(sim::Addr a,
     return MemStatus::kOk;
   }
   if (hazard_ == CrashStyle::kImmediate) {
-    try {
-      mem.write_bytes(a, in, sim::Access::kKernel);
-      return MemStatus::kOk;
-    } catch (const sim::SimFault&) {
+    sim::Fault f;
+    if (!mem.try_write_bytes(a, in, sim::Access::kKernel, &f))
       machine_.panic(sim::PanicKind::kKernelPageFault);
-    }
+    return MemStatus::kOk;
   }
   // Deferred-style hazard: the fast path stages the transfer through a
   // kernel buffer in the shared arena using a length derived from the
@@ -95,12 +93,10 @@ MemStatus CallContext::hazard_read(sim::Addr a, std::span<std::uint8_t> out) {
     return MemStatus::kOk;
   }
   if (hazard_ == CrashStyle::kImmediate) {
-    try {
-      mem.read_bytes(a, out, sim::Access::kKernel);
-      return MemStatus::kOk;
-    } catch (const sim::SimFault&) {
+    sim::Fault f;
+    if (!mem.try_read_bytes(a, out, sim::Access::kKernel, &f))
       machine_.panic(sim::PanicKind::kKernelPageFault);
-    }
+    return MemStatus::kOk;
   }
   if (!mem.check_range(a, out.size(), /*write=*/false, sim::Access::kKernel)) {
     // Deferred-style hazard on a read: the staging copy still overruns.
@@ -111,6 +107,44 @@ MemStatus CallContext::hazard_read(sim::Addr a, std::span<std::uint8_t> out) {
   }
   mem.read_bytes(a, out, sim::Access::kKernel);
   return MemStatus::kOk;
+}
+
+MemStatus CallContext::faulted(const sim::Fault& f) {
+  if (!fault_) fault_ = f;
+  return MemStatus::kFault;
+}
+
+void CallContext::raise_pending_fault() const { throw sim::SimFault(*fault_); }
+
+MemStatus CallContext::read_user(sim::Addr a, std::span<std::uint8_t> out) {
+  sim::Fault f;
+  return proc_.mem().try_read_bytes(a, out, sim::Access::kUser, &f)
+             ? MemStatus::kOk
+             : faulted(f);
+}
+
+MemStatus CallContext::write_user(sim::Addr a,
+                                  std::span<const std::uint8_t> in) {
+  sim::Fault f;
+  return proc_.mem().try_write_bytes(a, in, sim::Access::kUser, &f)
+             ? MemStatus::kOk
+             : faulted(f);
+}
+
+MemStatus CallContext::read_user_str(sim::Addr a, std::string* out,
+                                     std::size_t max_len) {
+  sim::Fault f;
+  return proc_.mem().try_read_cstr(a, max_len, sim::Access::kUser, out, &f)
+             ? MemStatus::kOk
+             : faulted(f);
+}
+
+MemStatus CallContext::read_user_str(sim::Addr a, std::u16string* out,
+                                     std::size_t max_len) {
+  sim::Fault f;
+  return proc_.mem().try_read_wstr(a, max_len, sim::Access::kUser, out, &f)
+             ? MemStatus::kOk
+             : faulted(f);
 }
 
 MemStatus CallContext::k_write(sim::Addr a, std::span<const std::uint8_t> in) {
@@ -135,8 +169,7 @@ MemStatus CallContext::k_write(sim::Addr a, std::span<const std::uint8_t> in) {
       // raised into the calling task — write through user-mode rules so the
       // fault carries the faulting address.
       emit_probe(trace::ProbeResult::kGuarded, a, in.size(), true);
-      mem.write_bytes(a, in, sim::Access::kUser);
-      return MemStatus::kOk;
+      return write_user(a, in);
 
     case sim::PointerPolicy::kStubCheckLoose:
       if (stub_rejects(a)) {
@@ -146,8 +179,7 @@ MemStatus CallContext::k_write(sim::Addr a, std::span<const std::uint8_t> in) {
       // Subtler garbage (dangling, read-only, guard pages) is dereferenced in
       // user mode and faults there: an Abort, not a crash.
       emit_probe(trace::ProbeResult::kOk, a, in.size(), true);
-      mem.write_bytes(a, in, sim::Access::kUser);
-      return MemStatus::kOk;
+      return write_user(a, in);
   }
   return MemStatus::kError;
 }
@@ -171,8 +203,7 @@ MemStatus CallContext::k_read(sim::Addr a, std::span<std::uint8_t> out) {
 
     case sim::PointerPolicy::kProbeRaiseException:
       emit_probe(trace::ProbeResult::kGuarded, a, out.size(), false);
-      mem.read_bytes(a, out, sim::Access::kUser);
-      return MemStatus::kOk;
+      return read_user(a, out);
 
     case sim::PointerPolicy::kStubCheckLoose:
       if (stub_rejects(a)) {
@@ -180,8 +211,7 @@ MemStatus CallContext::k_read(sim::Addr a, std::span<std::uint8_t> out) {
         return MemStatus::kSilent;
       }
       emit_probe(trace::ProbeResult::kOk, a, out.size(), false);
-      mem.read_bytes(a, out, sim::Access::kUser);
-      return MemStatus::kOk;
+      return read_user(a, out);
   }
   return MemStatus::kError;
 }
@@ -231,16 +261,14 @@ MemStatus CallContext::k_read_str(sim::Addr a, std::string* out,
     }
     case sim::PointerPolicy::kProbeRaiseException:
       emit_probe(trace::ProbeResult::kGuarded, a, 0, false);
-      *out = mem.read_cstr(a, max_len, sim::Access::kUser);
-      return MemStatus::kOk;
+      return read_user_str(a, out, max_len);
     case sim::PointerPolicy::kStubCheckLoose:
       if (stub_rejects(a)) {
         emit_probe(trace::ProbeResult::kStubSilent, a, 0, false);
         return MemStatus::kSilent;
       }
       emit_probe(trace::ProbeResult::kOk, a, 0, false);
-      *out = mem.read_cstr(a, max_len, sim::Access::kUser);
-      return MemStatus::kOk;
+      return read_user_str(a, out, max_len);
   }
   return MemStatus::kError;
 }
@@ -282,16 +310,14 @@ MemStatus CallContext::k_read_wstr(sim::Addr a, std::u16string* out,
     }
     case sim::PointerPolicy::kProbeRaiseException:
       emit_probe(trace::ProbeResult::kGuarded, a, 0, false);
-      *out = mem.read_wstr(a, max_len, sim::Access::kUser);
-      return MemStatus::kOk;
+      return read_user_str(a, out, max_len);
     case sim::PointerPolicy::kStubCheckLoose:
       if (stub_rejects(a)) {
         emit_probe(trace::ProbeResult::kStubSilent, a, 0, false);
         return MemStatus::kSilent;
       }
       emit_probe(trace::ProbeResult::kOk, a, 0, false);
-      *out = mem.read_wstr(a, max_len, sim::Access::kUser);
-      return MemStatus::kOk;
+      return read_user_str(a, out, max_len);
   }
   return MemStatus::kError;
 }
@@ -337,13 +363,21 @@ CallOutcome CallContext::posix_fail(int code) {
 }
 
 CallOutcome CallContext::win_mem_fail(MemStatus s, std::uint64_t fail_ret) {
+  if (s == MemStatus::kFault) return {CallStatus::kFaulted, 0};
   if (s == MemStatus::kSilent) return silent_success(1);
   return win_fail(kErrorNoaccess, fail_ret);
 }
 
 CallOutcome CallContext::posix_mem_fail(MemStatus s) {
+  if (s == MemStatus::kFault) return {CallStatus::kFaulted, 0};
   if (s == MemStatus::kSilent) return silent_success(0);
   return posix_fail(EFAULT);
+}
+
+CallOutcome ApiImpl::operator()(CallContext& ctx) const {
+  const CallOutcome out = body_(ctx);
+  if (ctx.pending_fault()) ctx.raise_pending_fault();
+  return out;
 }
 
 }  // namespace ballista::core

@@ -7,6 +7,19 @@
 // counted as Abort), a silent no-op (Win9x loose stubs), or a kernel-side
 // catastrophe (Win9x/CE hazard paths) is decided here from the Machine's
 // personality and the MuT's hazard entry.
+//
+// The exception raised into the task is a value, not a C++ throw: the helper
+// records the sim::Fault in the context and returns MemStatus::kFault, the
+// body returns at once through win_mem_fail/posix_mem_fail (CallStatus::
+// kFaulted), and Executor::run_case, which calls the body through
+// ApiImpl::run, classifies the pending fault as Abort exactly as it
+// classifies a thrown sim::SimFault.  Everywhere else — tests, tools and the
+// benchmark's copy of run_case, which call `mut.impl(ctx)` — the ApiImpl
+// call operator delivers the pending fault as sim::SimFault from that one
+// frame, so those callers see the same Abort they always saw.  That adapter
+// stays for as long as the benchmark keeps its own copy of the executor loop
+// (ROADMAP: instrument the real executor); faults taken by user-mode CRT
+// code through the throwing AddressSpace accessors still throw everywhere.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +37,8 @@ enum class MemStatus : std::uint8_t {
   kOk,
   kError,   // caller should fail with a proper error code (EFAULT / ERROR_NOACCESS)
   kSilent,  // loose stub swallowed the bad pointer: return success, do nothing
+  kFault,   // the access faulted in the task (Abort); the fault is pending in
+            // the context and the caller must return win/posix_mem_fail(st)
 };
 
 class CallContext {
@@ -60,20 +75,31 @@ class CallContext {
   // --- kernel-side user-memory access (system-call implementations) ---------
 
   /// Copies `out.size()` bytes from user address `a`.
-  MemStatus k_read(sim::Addr a, std::span<std::uint8_t> out);
+  [[nodiscard]] MemStatus k_read(sim::Addr a, std::span<std::uint8_t> out);
   /// Copies `in.size()` bytes to user address `a`.
-  MemStatus k_write(sim::Addr a, std::span<const std::uint8_t> in);
+  [[nodiscard]] MemStatus k_write(sim::Addr a,
+                                  std::span<const std::uint8_t> in);
   /// Reads a NUL-terminated user string (bounded).
-  MemStatus k_read_str(sim::Addr a, std::string* out,
-                       std::size_t max_len = 1 << 16);
-  MemStatus k_read_wstr(sim::Addr a, std::u16string* out,
-                        std::size_t max_len = 1 << 16);
+  [[nodiscard]] MemStatus k_read_str(sim::Addr a, std::string* out,
+                                     std::size_t max_len = 1 << 16);
+  [[nodiscard]] MemStatus k_read_wstr(sim::Addr a, std::u16string* out,
+                                      std::size_t max_len = 1 << 16);
 
   /// Scalar conveniences over k_read/k_write.
-  MemStatus k_write_u32(sim::Addr a, std::uint32_t v);
-  MemStatus k_write_u64(sim::Addr a, std::uint64_t v);
-  MemStatus k_read_u32(sim::Addr a, std::uint32_t* v);
-  MemStatus k_read_u64(sim::Addr a, std::uint64_t* v);
+  [[nodiscard]] MemStatus k_write_u32(sim::Addr a, std::uint32_t v);
+  [[nodiscard]] MemStatus k_write_u64(sim::Addr a, std::uint64_t v);
+  [[nodiscard]] MemStatus k_read_u32(sim::Addr a, std::uint32_t* v);
+  [[nodiscard]] MemStatus k_read_u64(sim::Addr a, std::uint64_t* v);
+
+  /// The fault a helper returned as MemStatus::kFault, if any.
+  const std::optional<sim::Fault>& pending_fault() const noexcept {
+    return fault_;
+  }
+  /// Delivers the pending fault as sim::SimFault.  For code that cannot
+  /// return a CallOutcome (the Windows CE CRT-in-kernel accessors, the
+  /// C-library stream staging helpers); a body that can returns
+  /// win/posix_mem_fail instead.
+  [[noreturn]] void raise_pending_fault() const;
 
   // --- error-code plumbing ---------------------------------------------------
 
@@ -81,7 +107,8 @@ class CallContext {
   CallOutcome win_fail(std::uint32_t code, std::uint64_t ret = 0);
   /// POSIX: returns -1 after errno = code.
   CallOutcome posix_fail(int code);
-  /// Propagates a MemStatus into the correct Win32 failure shape.
+  /// Propagates a MemStatus into the correct Win32 failure shape; kFault
+  /// becomes CallStatus::kFaulted with no side effect.
   CallOutcome win_mem_fail(MemStatus s, std::uint64_t fail_ret = 0);
   CallOutcome posix_mem_fail(MemStatus s);
 
@@ -99,12 +126,22 @@ class CallContext {
   MemStatus hazard_read(sim::Addr a, std::span<std::uint8_t> out);
   /// Deferred-hazard staging-buffer overrun into the shared arena.
   void corrupt_staging_area();
+  /// Task-mode dereferences (the NT probe-and-raise path and the Win9x
+  /// stubs' subtle garbage): a fault becomes the pending fault and kFault.
+  MemStatus read_user(sim::Addr a, std::span<std::uint8_t> out);
+  MemStatus write_user(sim::Addr a, std::span<const std::uint8_t> in);
+  MemStatus read_user_str(sim::Addr a, std::string* out, std::size_t max_len);
+  MemStatus read_user_str(sim::Addr a, std::u16string* out,
+                          std::size_t max_len);
+  /// Makes `f` the pending fault (the first one stays) and returns kFault.
+  MemStatus faulted(const sim::Fault& f);
 
   sim::Machine& machine_;
   sim::SimProcess& proc_;
   const MuT& mut_;
   std::span<const RawArg> args_;
   CrashStyle hazard_;
+  std::optional<sim::Fault> fault_;
 };
 
 }  // namespace ballista::core

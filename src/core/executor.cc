@@ -33,6 +33,14 @@ std::vector<trace::TraceEvent> causal_window(std::vector<trace::TraceEvent> tail
   return tail;
 }
 
+/// A fault in the task, however it was delivered: pending in the context or
+/// thrown as sim::SimFault.
+void classify_fault(const sim::Fault& f, CaseResult& result) {
+  result.outcome = Outcome::kAbort;
+  result.fault = f.type;
+  result.detail = sim::describe_fault(f);
+}
+
 }  // namespace
 
 CaseResult Executor::run_case(const MuT& mut,
@@ -75,21 +83,16 @@ CaseResult Executor::run_case(const MuT& mut,
   machine_.mutations().open_window();
   try {
     machine_.kernel_enter();
-    const CallOutcome out = mut.impl(ctx);
-    sink.emit(trace::syscall_exit_event(out.status, out.ret));
-    switch (out.status) {
-      case CallStatus::kErrorReported:
-        result.outcome = Outcome::kPass;
-        break;
-      case CallStatus::kWrongError:
-        result.outcome = Outcome::kPass;
-        result.wrong_error = true;
-        break;
-      case CallStatus::kSuccess:
-      case CallStatus::kSilentSuccess:
-        result.outcome = Outcome::kPass;
-        result.success_no_error = true;
-        break;
+    const CallOutcome out = mut.impl.run(ctx);
+    if (ctx.pending_fault()) {
+      // The call never returned to the task: no syscall_exit event, as when
+      // the fault is thrown.
+      classify_fault(*ctx.pending_fault(), result);
+    } else {
+      sink.emit(trace::syscall_exit_event(out.status, out.ret));
+      result.wrong_error = out.status == CallStatus::kWrongError;
+      result.success_no_error = out.status == CallStatus::kSuccess ||
+                                out.status == CallStatus::kSilentSuccess;
     }
   } catch (const sim::KernelPanic& p) {
     result.outcome = Outcome::kCatastrophic;
@@ -101,9 +104,7 @@ CaseResult Executor::run_case(const MuT& mut,
     result.outcome = Outcome::kRestart;
     result.detail = h.what();
   } catch (const sim::SimFault& f) {
-    result.outcome = Outcome::kAbort;
-    result.fault = f.fault().type;
-    result.detail = f.what();
+    classify_fault(f.fault(), result);
   }
   machine_.mutations().close_window();
   sink.emit(trace::classified_event(result.outcome, result.fault,

@@ -11,6 +11,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/classify.h"
@@ -30,7 +31,29 @@ class CallContext;
 ///    reproducible only by running the harness).
 enum class CrashStyle : std::uint8_t { kNone, kImmediate, kDeferred };
 
-using ApiImpl = std::function<CallOutcome(CallContext&)>;
+/// A MuT body.  A kernel helper that faults in the task records the fault in
+/// the CallContext and the body returns CallStatus::kFaulted (DESIGN.md §2).
+/// run() leaves that fault pending for its caller (Executor::run_case);
+/// calling the impl like a function delivers it as sim::SimFault from this
+/// one frame, as every other caller (tests, tools, the benchmark's copy of
+/// run_case) expects.
+class ApiImpl {
+ public:
+  using Body = std::function<CallOutcome(CallContext&)>;
+
+  ApiImpl() = default;
+  template <class F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, ApiImpl> &&
+             std::is_constructible_v<Body, F>)
+  ApiImpl(F&& body) : body_(std::forward<F>(body)) {}
+
+  CallOutcome run(CallContext& ctx) const { return body_(ctx); }
+  CallOutcome operator()(CallContext& ctx) const;
+  explicit operator bool() const noexcept { return static_cast<bool>(body_); }
+
+ private:
+  Body body_;
+};
 
 struct MuT {
   std::string name;

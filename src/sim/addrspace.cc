@@ -225,37 +225,53 @@ Page* AddressSpace::private_page(Addr pg) const noexcept {
   return tlb_page_;
 }
 
-Page* AddressSpace::page_for(Addr a, Access m, bool write) const {
+Page* AddressSpace::try_page(Addr a, Access m, bool write, Fault* f) const {
   Page* p = private_page(page_of(a));
   if (p == nullptr && arena_ != nullptr && arena_->contains(a))
     p = arena_->page(a);
-  if (p == nullptr) fault(FaultType::kAccessViolation, a, write);
+  if (p == nullptr) return fault(FaultType::kAccessViolation, a, write, f);
   if (m == Access::kUser) {
-    if (p->kernel_only) fault(FaultType::kAccessViolation, a, write);
+    if (p->kernel_only) return fault(FaultType::kAccessViolation, a, write, f);
     if (write && (p->perm & kPermWrite) == 0)
-      fault(FaultType::kAccessViolation, a, true);
+      return fault(FaultType::kAccessViolation, a, true, f);
     if (!write && (p->perm & kPermRead) == 0)
-      fault(FaultType::kAccessViolation, a, false);
+      return fault(FaultType::kAccessViolation, a, false, f);
   } else {
     // Kernel mode bypasses the user/kernel split.  Writes to read-only user
     // pages still fault (write-protect honoured in ring 0, as on NT/Linux;
     // Win9x hazard paths never reach here with a read-only page unnoticed
     // because the arena pages are RW).
     if (write && (p->perm & kPermWrite) == 0)
-      fault(FaultType::kAccessViolation, a, true);
+      return fault(FaultType::kAccessViolation, a, true, f);
   }
   return p;
 }
 
-void AddressSpace::fault(FaultType t, Addr a, bool write) const {
+Page* AddressSpace::page_for(Addr a, Access m, bool write) const {
+  Fault f;
+  Page* p = try_page(a, m, write, &f);
+  if (p == nullptr) throw SimFault(f);
+  return p;
+}
+
+Page* AddressSpace::fault(FaultType t, Addr a, bool write, Fault* f) const {
   if (trace_ != nullptr) trace_->emit(trace::fault_event(t, a, write));
-  throw SimFault(Fault{t, a, write});
+  *f = Fault{t, a, write};
+  return nullptr;
+}
+
+bool AddressSpace::aligned(Addr a, std::uint64_t size, bool write,
+                           Fault* f) const {
+  if (strict_align_ && size > 1 && (a % size) != 0) {
+    fault(FaultType::kMisalignment, a, write, f);
+    return false;
+  }
+  return true;
 }
 
 void AddressSpace::check_alignment(Addr a, std::uint64_t size,
                                    bool write) const {
-  if (strict_align_ && size > 1 && (a % size) != 0)
-    fault(FaultType::kMisalignment, a, write);
+  if (Fault f; !aligned(a, size, write, &f)) throw SimFault(f);
 }
 
 std::uint8_t AddressSpace::read_u8(Addr a, Access m) const {
@@ -325,24 +341,51 @@ void AddressSpace::write_u64(Addr a, std::uint64_t v, Access m) {
 
 void AddressSpace::read_bytes(Addr a, std::span<std::uint8_t> out,
                               Access m) const {
+  if (Fault f; !try_read_bytes(a, out, m, &f)) throw SimFault(f);
+}
+
+void AddressSpace::write_bytes(Addr a, std::span<const std::uint8_t> in,
+                               Access m) {
+  if (Fault f; !try_write_bytes(a, in, m, &f)) throw SimFault(f);
+}
+
+std::string AddressSpace::read_cstr(Addr a, std::size_t max_len,
+                                    Access m) const {
+  std::string s;
+  if (Fault f; !try_read_cstr(a, max_len, m, &s, &f)) throw SimFault(f);
+  return s;
+}
+
+std::u16string AddressSpace::read_wstr(Addr a, std::size_t max_len,
+                                       Access m) const {
+  std::u16string s;
+  if (Fault f; !try_read_wstr(a, max_len, m, &s, &f)) throw SimFault(f);
+  return s;
+}
+
+bool AddressSpace::try_read_bytes(Addr a, std::span<std::uint8_t> out,
+                                  Access m, Fault* fault) const {
   std::size_t done = 0;
   while (done < out.size()) {
     const Addr addr = a + done;
-    const Page* p = page_for(addr, m, false);
+    const Page* p = try_page(addr, m, false, fault);
+    if (p == nullptr) return false;
     const std::size_t off = addr % kPageSize;
     const std::size_t n =
         std::min<std::size_t>(kPageSize - off, out.size() - done);
     std::memcpy(out.data() + done, p->data.data() + off, n);
     done += n;
   }
+  return true;
 }
 
-void AddressSpace::write_bytes(Addr a, std::span<const std::uint8_t> in,
-                               Access m) {
+bool AddressSpace::try_write_bytes(Addr a, std::span<const std::uint8_t> in,
+                                   Access m, Fault* fault) {
   std::size_t done = 0;
   while (done < in.size()) {
     const Addr addr = a + done;
-    Page* p = page_for(addr, m, true);
+    Page* p = try_page(addr, m, true, fault);
+    if (p == nullptr) return false;
     // One persistence point per page run, announced after the access check
     // and before the bytes land — the same coalesced sequence the byte-wise
     // walk produced (consecutive same-page stores were one point), so crash
@@ -356,15 +399,17 @@ void AddressSpace::write_bytes(Addr a, std::span<const std::uint8_t> in,
     std::memcpy(p->data.data() + off, in.data() + done, n);
     done += n;
   }
+  return true;
 }
 
-std::string AddressSpace::read_cstr(Addr a, std::size_t max_len,
-                                    Access m) const {
-  std::string s;
+bool AddressSpace::try_read_cstr(Addr a, std::size_t max_len, Access m,
+                                 std::string* out, Fault* fault) const {
+  out->clear();
   std::size_t i = 0;
   while (i < max_len) {
     const Addr addr = a + i;
-    const Page* p = page_for(addr, m, false);
+    const Page* p = try_page(addr, m, false, fault);
+    if (p == nullptr) return false;
     const std::size_t off = addr % kPageSize;
     const std::size_t n = std::min<std::size_t>(kPageSize - off, max_len - i);
     const std::uint8_t* base = p->data.data() + off;
@@ -374,22 +419,27 @@ std::string AddressSpace::read_cstr(Addr a, std::size_t max_len,
             ? static_cast<std::size_t>(static_cast<const std::uint8_t*>(nul) -
                                        base)
             : n;
-    s.append(reinterpret_cast<const char*>(base), len);
-    if (nul != nullptr) return s;
+    out->append(reinterpret_cast<const char*>(base), len);
+    if (nul != nullptr) return true;
     i += n;
   }
-  return s;
+  return true;
 }
 
-std::u16string AddressSpace::read_wstr(Addr a, std::size_t max_len,
-                                       Access m) const {
-  std::u16string s;
+bool AddressSpace::try_read_wstr(Addr a, std::size_t max_len, Access m,
+                                 std::u16string* out, Fault* fault) const {
+  out->clear();
   for (std::size_t i = 0; i < max_len; ++i) {
-    const std::uint16_t c = read_u16(a + 2 * i, m);
-    if (c == 0) return s;
-    s.push_back(static_cast<char16_t>(c));
+    // read_u16's order: the alignment check, then the two-byte transfer.
+    const Addr addr = a + 2 * i;
+    std::uint8_t b[2];
+    if (!aligned(addr, 2, false, fault) || !try_read_bytes(addr, b, m, fault))
+      return false;
+    const auto c = static_cast<char16_t>(b[0] | (b[1] << 8));
+    if (c == 0) return true;
+    out->push_back(c);
   }
-  return s;
+  return true;
 }
 
 void AddressSpace::write_cstr(Addr a, std::string_view s, Access m) {

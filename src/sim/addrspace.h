@@ -187,6 +187,25 @@ class AddressSpace {
                            Access m = Access::kUser) const;
   void write_cstr(Addr a, std::string_view s, Access m = Access::kUser);
 
+  // --- access that returns a fault as a value --------------------------------
+  //
+  // The walks behind read_bytes/write_bytes/read_cstr/read_wstr (which are
+  // one-line wrappers that throw what these report).  On a fault each returns
+  // false after storing it in `*fault`, having emitted the same fault event
+  // and left the same partial transfer and kPageWrite points the throwing
+  // form does; the kernel helpers in core::CallContext use them so a bad
+  // pointer never unwinds the host stack.  On a fault `*out` holds the
+  // prefix read so far.
+
+  bool try_read_bytes(Addr a, std::span<std::uint8_t> out, Access m,
+                      Fault* fault) const;
+  bool try_write_bytes(Addr a, std::span<const std::uint8_t> in, Access m,
+                       Fault* fault);
+  bool try_read_cstr(Addr a, std::size_t max_len, Access m, std::string* out,
+                     Fault* fault) const;
+  bool try_read_wstr(Addr a, std::size_t max_len, Access m,
+                     std::u16string* out, Fault* fault) const;
+
   /// True if [a, a+size) is fully readable/writable in the given mode, without
   /// faulting — the probe primitive NT-class kernels use.
   bool check_range(Addr a, std::uint64_t size, bool write,
@@ -206,7 +225,7 @@ class AddressSpace {
   SharedArena* arena() const noexcept { return arena_; }
 
   /// Wires the MMU into the owning machine's trace spine so faults are
-  /// recorded before they throw.  Standalone address spaces (tests, benches)
+  /// recorded when they are taken.  Standalone address spaces (tests, benches)
   /// leave it unset and fault silently, as before.
   void set_trace(trace::TraceSink* sink) noexcept { trace_ = sink; }
 
@@ -219,13 +238,20 @@ class AddressSpace {
   std::size_t mapped_page_count() const noexcept { return pages_.size(); }
 
  private:
+  /// The page an access to `a` touches, or nullptr after recording the
+  /// fault the access takes (see fault()).
+  Page* try_page(Addr a, Access m, bool write, Fault* f) const;
   Page* page_for(Addr a, Access m, bool write) const;
   /// The private page with page number `pg`, or nullptr.  Looks in the
   /// one-entry TLB first and refills it on a hit in pages_.
   Page* private_page(Addr pg) const noexcept;
   /// Drops the TLB entry; called wherever a private page can leave pages_.
   void flush_tlb() noexcept { tlb_pg_ = kNoPage; }
-  [[noreturn]] void fault(FaultType t, Addr a, bool write) const;
+  /// Emits the fault event on the trace spine and stores the fault in `*f`;
+  /// returns nullptr so a page lookup can return it directly.
+  Page* fault(FaultType t, Addr a, bool write, Fault* f) const;
+  /// False after recording a kMisalignment fault in `*f`.
+  bool aligned(Addr a, std::uint64_t size, bool write, Fault* f) const;
   void check_alignment(Addr a, std::uint64_t size, bool write) const;
   /// A zeroed page, reusing a free-listed one when available.
   std::unique_ptr<Page> take_page();

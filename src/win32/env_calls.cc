@@ -150,15 +150,17 @@ CallOutcome do_get_computer_name(CallContext& ctx) {
   if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
   const std::string name = "BALLISTA-PC";
   if (name.size() + 1 > cap) {
-    (void)ctx.k_write_u32(size_ptr,
-                          static_cast<std::uint32_t>(name.size() + 1));
+    st = ctx.k_write_u32(size_ptr,
+                         static_cast<std::uint32_t>(name.size() + 1));
+    if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
     return ctx.win_fail(ERR_NOT_ENOUGH_MEMORY, 0);
   }
   std::vector<std::uint8_t> bytes(name.begin(), name.end());
   bytes.push_back(0);
   st = ctx.k_write(buf, bytes);
   if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
-  (void)ctx.k_write_u32(size_ptr, static_cast<std::uint32_t>(name.size()));
+  st = ctx.k_write_u32(size_ptr, static_cast<std::uint32_t>(name.size()));
+  if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
   return ok(1);
 }
 

@@ -49,6 +49,8 @@ CallOutcome do_duplicate_handle(CallContext& ctx) {
   // On the 9x family this store went through an unprobed kernel path
   // (Table 3: *DuplicateHandle).
   const MemStatus st = ctx.k_write_u32(out, static_cast<std::uint32_t>(nh));
+  // A fault raised into the task runs no cleanup.
+  if (st == MemStatus::kFault) return ctx.win_mem_fail(st);
   if (st != MemStatus::kOk) {
     ctx.proc().handles().close(nh);
     return ctx.win_mem_fail(st);

@@ -36,7 +36,8 @@ CallOutcome do_virtual_alloc(CallContext& ctx) {
       (type & 0x1000u) != 0) {
     // The CE kernel commits at the caller-chosen (slotized) address before
     // fully validating it — the Table 3 VirtualAlloc Catastrophic.
-    (void)ctx.k_write_u32(sim::page_base(lp), 0);
+    const MemStatus st = ctx.k_write_u32(sim::page_base(lp), 0);
+    if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
   }
   if (!valid_protect(prot) || (type & ~0x3000u) != 0 || type == 0)
     return ctx.win_fail(ERR_INVALID_PARAMETER, 0);
@@ -116,7 +117,9 @@ CallOutcome do_heap_create(CallContext& ctx) {
       (initial > 0x1000'0000ull || (maximum != 0 && maximum < initial))) {
     // Win95: the VMM wrote reservation bookkeeping computed from the raw
     // sizes into the shared arena — the Table 3 HeapCreate Catastrophic.
-    (void)ctx.k_write_u32(sim::kSharedArenaBase + (initial & 0x00ffe000), 0);
+    const MemStatus st =
+        ctx.k_write_u32(sim::kSharedArenaBase + (initial & 0x00ffe000), 0);
+    if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
   }
   if ((opts & ~0x00040005u) != 0)
     return ctx.win_fail(ERR_INVALID_PARAMETER, 0);

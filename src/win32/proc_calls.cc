@@ -59,6 +59,8 @@ CallOutcome do_create_thread(CallContext& ctx) {
   if (tid_out != 0) {
     // Stored from kernel context — *CreateThread (Table 3) on 98SE/CE.
     const MemStatus st = ctx.k_write_u32(tid_out, tid);
+    // A fault raised into the task runs no cleanup.
+    if (st == MemStatus::kFault) return ctx.win_mem_fail(st);
     if (st != MemStatus::kOk) {
       ctx.proc().handles().close(h);
       return ctx.win_mem_fail(st);

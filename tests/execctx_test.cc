@@ -2,8 +2,9 @@
 // validation architectures.  Each personality must turn the same bad pointer
 // into its own characteristic outcome:
 //   Linux   -> MemStatus::kError   (EFAULT-style error return)
-//   NT/2000 -> SimFault            (exception raised into the task: Abort)
-//   Win9x   -> kSilent for obvious garbage, SimFault for subtle garbage
+//   NT/2000 -> MemStatus::kFault   (exception raised into the task: Abort),
+//              the fault pending in the context
+//   Win9x   -> kSilent for obvious garbage, kFault for subtle garbage
 //   hazard  -> KernelPanic (immediate) or arena corruption (deferred)
 #include <gtest/gtest.h>
 
@@ -16,6 +17,23 @@ using ballista::testing::CallFixture;
 using sim::OsVariant;
 
 std::uint8_t buf4[4] = {1, 2, 3, 4};
+
+/// Number of kFault events the machine's trace has counted.
+std::uint64_t fault_events(sim::Machine& m) {
+  return m.trace().counters()[trace::EventKind::kFault];
+}
+
+/// The helper returned kFault: the context holds exactly this fault, and the
+/// MMU emitted exactly one fault event for it.
+void expect_fault(MemStatus st, const CallContext& ctx, sim::Machine& m,
+                  std::uint64_t faults_before, sim::Addr addr, bool is_write) {
+  EXPECT_EQ(st, MemStatus::kFault);
+  ASSERT_TRUE(ctx.pending_fault().has_value());
+  EXPECT_EQ(ctx.pending_fault()->type, sim::FaultType::kAccessViolation);
+  EXPECT_EQ(ctx.pending_fault()->address, addr);
+  EXPECT_EQ(ctx.pending_fault()->is_write, is_write);
+  EXPECT_EQ(fault_events(m), faults_before + 1);
+}
 
 TEST(CallContext, LinuxBadPointerReturnsError) {
   CallFixture f(OsVariant::kLinux);
@@ -40,12 +58,25 @@ TEST(CallContext, LinuxReadOnlyTargetIsErrorNotFault) {
 TEST(CallContext, NtBadPointerRaisesIntoTask) {
   for (OsVariant v : {OsVariant::kWinNT4, OsVariant::kWin2000}) {
     CallFixture f(v);
-    auto ctx = f.ctx();
-    EXPECT_THROW(ctx.k_write(0, buf4), sim::SimFault);
-    std::uint8_t out[4];
-    EXPECT_THROW(ctx.k_read(0xDEAD0000, out), sim::SimFault);
     const sim::Addr a = f.proc->mem().alloc(16);
+    {
+      auto ctx = f.ctx();
+      EXPECT_FALSE(ctx.pending_fault().has_value());
+      const std::uint64_t before = fault_events(f.machine);
+      expect_fault(ctx.k_write(0, buf4), ctx, f.machine, before, 0, true);
+      EXPECT_EQ(ctx.win_mem_fail(MemStatus::kFault).status,
+                CallStatus::kFaulted);
+    }
+    {
+      auto ctx = f.ctx();
+      std::uint8_t out[4];
+      const std::uint64_t before = fault_events(f.machine);
+      expect_fault(ctx.k_read(0xDEAD0000, out), ctx, f.machine, before,
+                   0xDEAD0000, false);
+    }
+    auto ctx = f.ctx();
     EXPECT_EQ(ctx.k_write(a, buf4), MemStatus::kOk);
+    EXPECT_FALSE(ctx.pending_fault().has_value());
     EXPECT_FALSE(f.machine.crashed());
   }
 }
@@ -60,17 +91,24 @@ TEST(CallContext, Win9xStubSwallowsObviousGarbage) {
 
 TEST(CallContext, Win9xStubMissesSubtleGarbage) {
   CallFixture f(OsVariant::kWin98);
-  auto ctx = f.ctx();
   const sim::Addr dangling = f.proc->mem().alloc_dangling(16);
-  EXPECT_THROW(ctx.k_write(dangling, buf4), sim::SimFault);  // Abort
   const sim::Addr ro = f.proc->mem().alloc(16, sim::kPermRead);
-  EXPECT_THROW(ctx.k_write(ro, buf4), sim::SimFault);
+  {
+    auto ctx = f.ctx();
+    const std::uint64_t before = fault_events(f.machine);
+    expect_fault(ctx.k_write(dangling, buf4), ctx, f.machine, before,
+                 dangling, true);  // Abort
+  }
+  auto ctx = f.ctx();
+  const std::uint64_t before = fault_events(f.machine);
+  expect_fault(ctx.k_write(ro, buf4), ctx, f.machine, before, ro, true);
+  EXPECT_FALSE(f.machine.crashed());
 }
 
 TEST(CallContext, ImmediateHazardPanicsOnLowAddress) {
   CallFixture f(OsVariant::kWin98, CrashStyle::kImmediate);
   auto ctx = f.ctx();
-  EXPECT_THROW(ctx.k_write(0, buf4), sim::KernelPanic);
+  EXPECT_THROW((void)ctx.k_write(0, buf4), sim::KernelPanic);
   EXPECT_TRUE(f.machine.crashed());
 }
 
@@ -78,7 +116,7 @@ TEST(CallContext, ImmediateHazardPanicsOnUnmappedUserAddress) {
   CallFixture f(OsVariant::kWin98, CrashStyle::kImmediate);
   auto ctx = f.ctx();
   const sim::Addr dangling = f.proc->mem().alloc_dangling(16);
-  EXPECT_THROW(ctx.k_write(dangling, buf4), sim::KernelPanic);
+  EXPECT_THROW((void)ctx.k_write(dangling, buf4), sim::KernelPanic);
 }
 
 TEST(CallContext, ImmediateHazardSucceedsOnValidMemory) {
@@ -126,7 +164,7 @@ TEST(CallContext, CeSlotAddressingRedirectsGarbageIntoArena) {
   auto ctx = f.ctx();
   // A garbage user address that is unmapped in the task resolves into the
   // shared slot space in kernel context -> critical corruption -> panic.
-  EXPECT_THROW(ctx.k_write(0x20746f6e, buf4), sim::KernelPanic);
+  EXPECT_THROW((void)ctx.k_write(0x20746f6e, buf4), sim::KernelPanic);
   EXPECT_TRUE(f.machine.crashed());
 }
 
@@ -153,7 +191,8 @@ TEST(CallContext, ReadStrPerPolicy) {
     CallFixture f(OsVariant::kWinNT4);
     auto ctx = f.ctx();
     std::string s;
-    EXPECT_THROW(ctx.k_read_str(0, &s), sim::SimFault);
+    const std::uint64_t before = fault_events(f.machine);
+    expect_fault(ctx.k_read_str(0, &s), ctx, f.machine, before, 0, false);
   }
   {
     CallFixture f(OsVariant::kWin95);
