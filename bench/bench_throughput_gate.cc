@@ -11,15 +11,20 @@
 // development machine reaches) so the gate trips on real regressions, not on
 // CI machine variance.  Refresh it with:
 //
-//   bench_throughput_gate --write-baseline tests/golden/bench_baseline.json
+//   bench_throughput_gate --reps 5 --write-baseline <baseline.json>
 //
-// which records half of the just-measured rate.
+// on tests/golden/bench_baseline.json, which records half of the median
+// rate.  With --reps N the campaign runs N timed passes after one warm-up
+// pass and the gate uses their median; the min and max are printed beside
+// it (default 1).
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "bench/bench_common.h"
 
@@ -27,37 +32,34 @@ namespace {
 
 using namespace ballista;
 
+/// Timed passes of the campaign after one warm-up pass (first-touch page
+/// faults, cold caches).
 struct Measurement {
   std::uint64_t cases = 0;
-  double seconds = 0.0;
-  double rate = 0.0;
+  bench::Spread rate;
 };
 
 Measurement measure(const harness::World& world, std::uint64_t cap,
-                    std::uint64_t seed) {
+                    std::uint64_t seed, int reps) {
   core::CampaignOptions opt;
   opt.cap = cap;
   opt.seed = seed;
   opt.only_api = core::ApiKind::kCLib;
   opt.jobs = 1;
-  Measurement best;
-  // Two passes, keep the faster: absorbs first-touch page faults and cold
-  // caches without averaging in a one-off scheduler hiccup.
-  for (int pass = 0; pass < 2; ++pass) {
+  Measurement m;
+  std::vector<double> rates;
+  for (int pass = 0; pass <= reps; ++pass) {
     const auto start = std::chrono::steady_clock::now();
     const auto result =
         core::Campaign::run(sim::OsVariant::kWinNT4, world.registry, opt);
     const double secs = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - start)
                             .count();
-    const double rate = secs > 0 ? result.total_cases / secs : 0;
-    if (rate > best.rate) {
-      best.cases = result.total_cases;
-      best.seconds = secs;
-      best.rate = rate;
-    }
+    m.cases = result.total_cases;
+    if (pass > 0) rates.push_back(secs > 0 ? result.total_cases / secs : 0);
   }
-  return best;
+  m.rate = bench::spread(std::move(rates));
+  return m;
 }
 
 /// Minimal extractor for the one number the gate needs; the baseline file is
@@ -83,6 +85,7 @@ int main(int argc, char** argv) {
   bool write_baseline = false;
   std::uint64_t cap = core::kDefaultCap;
   std::uint64_t seed = 0x8a11157a;
+  int reps = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--write-baseline") == 0) {
       write_baseline = true;
@@ -90,33 +93,39 @@ int main(int argc, char** argv) {
       cap = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
       seed = std::strtoull(argv[++i], nullptr, 10);
+    } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
+      reps = std::atoi(argv[++i]);
     } else {
       baseline_path = argv[i];
     }
   }
-  if (baseline_path.empty()) {
+  if (baseline_path.empty() || reps < 1) {
     std::fprintf(stderr,
                  "usage: bench_throughput_gate [--write-baseline] "
-                 "[--cap N] [--seed S] <baseline.json>\n");
+                 "[--cap N] [--seed S] [--reps N] <baseline.json>\n");
     return 2;
   }
 
   const auto world = harness::build_world();
-  const Measurement m = measure(*world, cap, seed);
-  std::printf("single-thread C-library campaign: %llu cases in %.3fs = %.0f "
-              "cases/sec\n",
-              static_cast<unsigned long long>(m.cases), m.seconds, m.rate);
+  const Measurement m = measure(*world, cap, seed, reps);
+  std::printf("single-thread C-library campaign: %llu cases, median %.0f "
+              "cases/sec over %d pass(es) (min %.0f, max %.0f, "
+              "hardware_concurrency %u)\n",
+              static_cast<unsigned long long>(m.cases), m.rate.median, reps,
+              m.rate.min, m.rate.max, std::thread::hardware_concurrency());
 
   if (write_baseline) {
+    const auto floor = static_cast<std::uint64_t>(m.rate.median / 2);
     std::ofstream out(baseline_path);
     out << "{\n  \"bench\": \"throughput_gate\",\n"
         << "  \"campaign\": \"nt4 clib jobs=1\",\n"
         << "  \"cap\": " << cap << ",\n"
-        << "  \"min_cases_per_sec\": " << static_cast<std::uint64_t>(m.rate / 2)
-        << "\n}\n";
-    std::printf("wrote %s (floor = measured/2 = %llu cases/sec)\n",
-                baseline_path.c_str(),
-                static_cast<unsigned long long>(m.rate / 2));
+        << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
+        << ",\n  \"reps\": " << reps << ",\n  ";
+    bench::write_spread(out, "measured_cases_per_sec", m.rate);
+    out << ",\n  \"min_cases_per_sec\": " << floor << "\n}\n";
+    std::printf("wrote %s (floor = median/2 = %llu cases/sec)\n",
+                baseline_path.c_str(), static_cast<unsigned long long>(floor));
     return 0;
   }
 
@@ -128,11 +137,11 @@ int main(int argc, char** argv) {
   }
   const double limit = floor * 0.9;  // >10% below the floor fails
   std::printf("committed floor %.0f cases/sec, gate at %.0f\n", floor, limit);
-  if (m.rate < limit) {
+  if (m.rate.median < limit) {
     std::fprintf(stderr,
                  "THROUGHPUT REGRESSION: %.0f cases/sec is more than 10%% "
                  "below the committed floor of %.0f\n",
-                 m.rate, floor);
+                 m.rate.median, floor);
     return 3;
   }
   std::printf("throughput gate: ok\n");

@@ -18,10 +18,12 @@ using core::CallContext;
 using core::CallOutcome;
 
 /// Reads the classification byte the way the active CRT would.
-/// Returns {looked_up, bits}; looked_up == false means the CRT rejected the
-/// argument (bounds check) and the caller should return 0.
+/// looked_up == false means the CRT rejected the argument (bounds check) and
+/// the caller should return 0; faulted means the table read faulted in the
+/// task (the fault is pending in the context).
 struct CtypeLookup {
   bool looked_up = false;
+  bool faulted = false;
   std::uint8_t bits = 0;
 };
 
@@ -33,7 +35,7 @@ CtypeLookup ctype_lookup(CallContext& ctx, std::int32_t c) {
     // __ctype_b[c].  Large or very negative c walks off the table.
     const sim::Addr a =
         st.ctype_table + 128 + static_cast<std::int64_t>(c);
-    out.bits = ctx.proc().mem().read_u8(a, sim::Access::kUser);
+    out.faulted = !ctx.user_read_u8(a, &out.bits);
     out.looked_up = true;
     return out;
   }
@@ -46,8 +48,7 @@ CtypeLookup ctype_lookup(CallContext& ctx, std::int32_t c) {
   }
   if (c < 0 || c > 255) return out;  // rejected
   CrtState& st = crt_state(ctx.proc());
-  out.bits = ctx.proc().mem().read_u8(st.ctype_table + 128 + c,
-                                      sim::Access::kUser);
+  out.faulted = !ctx.user_read_u8(st.ctype_table + 128 + c, &out.bits);
   out.looked_up = true;
   return out;
 }
@@ -56,6 +57,7 @@ core::ApiImpl is_fn(std::uint8_t mask) {
   return [mask](CallContext& ctx) -> CallOutcome {
     const std::int32_t c = ctx.argi(0);
     const CtypeLookup l = ctype_lookup(ctx, c);
+    if (l.faulted) return core::faulted();
     if (!l.looked_up) return core::silent_success(0);
     return core::ok((l.bits & mask) != 0 ? 1 : 0);
   };
@@ -64,6 +66,7 @@ core::ApiImpl is_fn(std::uint8_t mask) {
 CallOutcome do_tolower(CallContext& ctx) {
   const std::int32_t c = ctx.argi(0);
   const CtypeLookup l = ctype_lookup(ctx, c);
+  if (l.faulted) return core::faulted();
   if (!l.looked_up) return core::silent_success(static_cast<std::uint32_t>(c));
   if (l.bits & kCtUpper) return core::ok(static_cast<std::uint32_t>(c + 32));
   return core::ok(static_cast<std::uint32_t>(c));
@@ -72,6 +75,7 @@ CallOutcome do_tolower(CallContext& ctx) {
 CallOutcome do_toupper(CallContext& ctx) {
   const std::int32_t c = ctx.argi(0);
   const CtypeLookup l = ctype_lookup(ctx, c);
+  if (l.faulted) return core::faulted();
   if (!l.looked_up) return core::silent_success(static_cast<std::uint32_t>(c));
   if (l.bits & kCtLower) return core::ok(static_cast<std::uint32_t>(c - 32));
   return core::ok(static_cast<std::uint32_t>(c));

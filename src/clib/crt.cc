@@ -115,31 +115,29 @@ Addr make_file_struct(sim::SimProcess& proc, std::shared_ptr<sim::FsNode> node,
   return fp;
 }
 
-std::uint32_t file_field_read(CallContext& ctx, Addr fp, Addr off) {
+bool file_field_read(CallContext& ctx, Addr fp, Addr off, std::uint32_t* v) {
   if (ctx.os().crt_in_kernel) {
-    std::uint32_t v = 0;
     // Hazard/probe semantics applied by the context; a kSilent (deferred
-    // stub) result reads as zero, which downstream treats as garbage.  This
-    // accessor cannot return a CallOutcome, so a fault in the task throws.
-    if (ctx.k_read_u32(fp + off, &v) == MemStatus::kFault)
-      ctx.raise_pending_fault();
-    return v;
+    // stub) result reads as zero, which downstream treats as garbage.
+    *v = 0;
+    return ctx.k_read_u32(fp + off, v) != MemStatus::kFault;
   }
-  return ctx.proc().mem().read_u32(fp + off, sim::Access::kUser);
+  return ctx.user_read_u32(fp + off, v);
 }
 
-void file_field_write(CallContext& ctx, Addr fp, Addr off, std::uint32_t v) {
-  if (ctx.os().crt_in_kernel) {
-    if (ctx.k_write_u32(fp + off, v) == MemStatus::kFault)
-      ctx.raise_pending_fault();
-    return;
-  }
-  ctx.proc().mem().write_u32(fp + off, v, sim::Access::kUser);
+bool file_field_write(CallContext& ctx, Addr fp, Addr off, std::uint32_t v) {
+  if (ctx.os().crt_in_kernel)
+    return ctx.k_write_u32(fp + off, v) != MemStatus::kFault;
+  return ctx.user_write_u32(fp + off, v);
 }
 
 FileRef resolve_file(CallContext& ctx, Addr fp, bool ce_prevalidates) {
   FileRef ref;
   ref.fp = fp;
+  const auto faulted = [&ref] {
+    ref.status = FileRef::Status::kFaulted;
+    return ref;
+  };
   const auto flavor = ctx.os().crt;
   auto& proc = ctx.proc();
   CrtState& st = crt_state(ctx.proc());
@@ -152,8 +150,8 @@ FileRef resolve_file(CallContext& ctx, Addr fp, bool ce_prevalidates) {
       proc.set_errno(EINVAL);
       return ref;  // kBadf
     }
-    const std::uint32_t magic =
-        proc.mem().read_u32(fp + kFileOffMagic, sim::Access::kUser);
+    std::uint32_t magic = 0;
+    if (!ctx.user_read_u32(fp + kFileOffMagic, &magic)) return faulted();
     if (magic != kFileMagic) {
       proc.set_errno(EINVAL);
       return ref;
@@ -163,16 +161,17 @@ FileRef resolve_file(CallContext& ctx, Addr fp, bool ce_prevalidates) {
     // unmapped garbage = SIGSEGV/Abort); on a mismatch, chase the stream's
     // internal buffer and lock pointers the way the real locking fast path
     // does — garbage pointers fault here.
-    const std::uint32_t magic =
-        proc.mem().read_u32(fp + kFileOffMagic, sim::Access::kUser);
+    std::uint32_t magic = 0;
+    if (!ctx.user_read_u32(fp + kFileOffMagic, &magic)) return faulted();
     if (magic != kFileMagic) {
-      const Addr buf = proc.mem().read_u32(fp + kFileOffBuf, sim::Access::kUser);
-      const Addr lock =
-          proc.mem().read_u32(fp + kFileOffLock, sim::Access::kUser);
+      std::uint32_t buf = 0, lock = 0;
+      std::uint8_t touched = 0;
       // Touch the lock word, then the buffer.
-      (void)proc.mem().read_u8(lock, sim::Access::kUser);
-      proc.mem().write_u8(lock, 1, sim::Access::kUser);
-      (void)proc.mem().read_u8(buf, sim::Access::kUser);
+      if (!ctx.user_read_u32(fp + kFileOffBuf, &buf) ||
+          !ctx.user_read_u32(fp + kFileOffLock, &lock) ||
+          !ctx.user_read_u8(lock, &touched) || !ctx.user_write_u8(lock, 1) ||
+          !ctx.user_read_u8(buf, &touched))
+        return faulted();
       // Survived by luck (all garbage happened to be mapped): EBADF.
       proc.set_errno(EBADF);
       return ref;
@@ -180,35 +179,37 @@ FileRef resolve_file(CallContext& ctx, Addr fp, bool ce_prevalidates) {
   } else {  // CeCrt: stdio thunks into the kernel.
     if (ce_prevalidates) {
       // The rewind-style quirk: user-mode pre-check before the thunk.
+      // CE pre-validating wrappers raise into the task (Abort).
+      std::uint32_t magic = 0;
       if (!proc.mem().check_range(fp, kFileStructSize, false,
-                                  sim::Access::kUser)) {
-        // CE pre-validating wrappers raise into the task (Abort).
-        (void)proc.mem().read_u32(fp + kFileOffMagic, sim::Access::kUser);
-      }
+                                  sim::Access::kUser) &&
+          !ctx.user_read_u32(fp + kFileOffMagic, &magic))
+        return faulted();
     }
-    const std::uint32_t magic = file_field_read(ctx, fp, kFileOffMagic);
+    std::uint32_t magic = 0;
+    if (!file_field_read(ctx, fp, kFileOffMagic, &magic)) return faulted();
     if (magic != kFileMagic) {
       // Kernel-side stream locking with garbage pointers: under CE slot
       // addressing these dereferences land in the shared slot space and
       // corrupt it (panic timing decided by the MuT's hazard style).
-      const Addr lock = file_field_read(ctx, fp, kFileOffLock);
-      if (ctx.k_write_u32(lock, 1) == MemStatus::kFault)
-        ctx.raise_pending_fault();
-      const Addr buf = file_field_read(ctx, fp, kFileOffBuf);
-      std::uint32_t scratch = 0;
-      if (ctx.k_read_u32(buf, &scratch) == MemStatus::kFault)
-        ctx.raise_pending_fault();
+      std::uint32_t lock = 0, buf = 0, scratch = 0;
+      if (!file_field_read(ctx, fp, kFileOffLock, &lock) ||
+          ctx.k_write_u32(lock, 1) == MemStatus::kFault ||
+          !file_field_read(ctx, fp, kFileOffBuf, &buf) ||
+          ctx.k_read_u32(buf, &scratch) == MemStatus::kFault)
+        return faulted();
       proc.set_errno(EBADF);
       return ref;
     }
   }
 
-  ref.flags = file_field_read(ctx, fp, kFileOffFlags);
+  if (!file_field_read(ctx, fp, kFileOffFlags, &ref.flags)) return faulted();
   if ((ref.flags & kFOpen) == 0) {
     proc.set_errno(EBADF);
     return ref;
   }
-  const std::uint32_t h = file_field_read(ctx, fp, kFileOffHandle);
+  std::uint32_t h = 0;
+  if (!file_field_read(ctx, fp, kFileOffHandle, &h)) return faulted();
   auto obj = proc.handles().get(h);
   if (obj == nullptr || obj->kind() != sim::ObjectKind::kFile) {
     proc.set_errno(EBADF);
@@ -219,51 +220,58 @@ FileRef resolve_file(CallContext& ctx, Addr fp, bool ce_prevalidates) {
   return ref;
 }
 
-std::uint32_t CharWidth::get(CallContext& ctx, Addr a, std::uint64_t i) const {
-  auto& mem = ctx.proc().mem();
-  return bytes == 1 ? mem.read_u8(a + i, sim::Access::kUser)
-                    : mem.read_u16(a + 2 * i, sim::Access::kUser);
+bool CharWidth::get(CallContext& ctx, Addr a, std::uint64_t i,
+                    std::uint32_t* c) const {
+  if (bytes == 1) {
+    std::uint8_t b = 0;
+    if (!ctx.user_read_u8(a + i, &b)) return false;
+    *c = b;
+  } else {
+    std::uint16_t u = 0;
+    if (!ctx.user_read_u16(a + 2 * i, &u)) return false;
+    *c = u;
+  }
+  return true;
 }
 
-void CharWidth::put(CallContext& ctx, Addr a, std::uint64_t i,
+bool CharWidth::put(CallContext& ctx, Addr a, std::uint64_t i,
                     std::uint32_t c) const {
-  auto& mem = ctx.proc().mem();
-  if (bytes == 1)
-    mem.write_u8(a + i, static_cast<std::uint8_t>(c), sim::Access::kUser);
-  else
-    mem.write_u16(a + 2 * i, static_cast<std::uint16_t>(c), sim::Access::kUser);
+  return bytes == 1
+             ? ctx.user_write_u8(a + i, static_cast<std::uint8_t>(c))
+             : ctx.user_write_u16(a + 2 * i, static_cast<std::uint16_t>(c));
 }
 
-std::vector<std::uint8_t> gather_bytes(sim::AddressSpace& mem, Addr a,
-                                       std::uint64_t n) {
+bool gather_bytes(CallContext& ctx, Addr a, std::uint64_t n,
+                  std::vector<std::uint8_t>* out) {
   const std::uint64_t have =
-      mem.accessible_prefix(a, n, false, sim::Access::kUser);
-  if (have < n) (void)mem.read_u8(a + have, sim::Access::kUser);  // faults
-  std::vector<std::uint8_t> out(n);
-  mem.read_bytes(a, out, sim::Access::kUser);
-  return out;
+      ctx.proc().mem().accessible_prefix(a, n, false, sim::Access::kUser);
+  std::uint8_t first_bad = 0;
+  if (have < n && !ctx.user_read_u8(a + have, &first_bad)) return false;
+  out->resize(n);
+  return ctx.user_read(a, *out);
 }
 
-std::uint32_t CharScanner::at(std::uint64_t i) {
+bool CharScanner::at(std::uint64_t i, std::uint32_t* c) {
   const Addr a = base_ + static_cast<Addr>(i) * static_cast<Addr>(bytes_);
   if (a < seg_start_ || a + static_cast<Addr>(bytes_) > seg_end_) {
-    // Unaligned or page-straddling wide chars keep the plain read_u16 path so
-    // strict-alignment personalities still raise their misalignment fault.
+    // Unaligned or page-straddling wide chars keep the plain two-byte read
+    // so strict-alignment personalities still raise their misalignment
+    // fault.
     if (bytes_ == 2 &&
         (a % 2 != 0 || a % sim::kPageSize == sim::kPageSize - 1))
-      return w_.get(ctx_, base_, i);
-    auto& mem = ctx_.proc().mem();
+      return w_.get(ctx_, base_, i, c);
     const std::size_t n = sim::kPageSize - (a % sim::kPageSize);
     // Buffer from the first touched byte of the page (not the page start) so
     // an unmapped page faults at the character's own address.
-    mem.read_bytes(a, {buf_, n}, sim::Access::kUser);
+    if (!ctx_.user_read(a, {buf_, n})) return false;
     seg_start_ = a;
     seg_end_ = a + n;
   }
   const std::size_t off = static_cast<std::size_t>(a - seg_start_);
-  return bytes_ == 1
-             ? buf_[off]
-             : static_cast<std::uint32_t>(buf_[off] | (buf_[off + 1] << 8));
+  *c = bytes_ == 1
+           ? buf_[off]
+           : static_cast<std::uint32_t>(buf_[off] | (buf_[off + 1] << 8));
+  return true;
 }
 
 std::uint8_t clib_mask_all() { return core::kMaskEverything; }

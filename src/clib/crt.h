@@ -86,18 +86,27 @@ struct CrtState {
 CrtState& crt_state(sim::SimProcess& proc);
 
 /// Result of resolving a FILE* argument under the active CRT personality.
-/// May throw SimFault (glibc/msvcrt chasing garbage in user mode) or
-/// KernelPanic (CE kernel thunks) before returning.
+/// A CRT that chases garbage in user mode (glibc, msvcrt) or a CE kernel
+/// thunk that raises into the task reports kFaulted with the fault pending
+/// in the context; a CE kernel thunk on a hazard path may throw KernelPanic
+/// before returning.
 struct FileRef {
   enum class Status {
     kOk,
-    kBadf,    // detected invalid: fail with errno (robust)
-    kSilent,  // swallowed by a loose path: report success, do nothing
+    kBadf,     // detected invalid: fail with errno (robust)
+    kFaulted,  // an access faulted in the task (Abort)
   };
   Status status = Status::kBadf;
   Addr fp = 0;
   std::shared_ptr<sim::FileObject> obj;  // null for detected-bad streams
   std::uint32_t flags = 0;
+
+  /// What a body returns for a stream that did not resolve: core::faulted()
+  /// after a fault, else the function's error return `ret`.
+  CallOutcome failure(std::uint64_t ret) const {
+    return status == Status::kFaulted ? core::faulted()
+                                      : core::error_reported(ret);
+  }
 };
 
 /// `needs_kernel_guard` marks CE functions that pre-validate (the rewind
@@ -110,27 +119,33 @@ Addr make_file_struct(sim::SimProcess& proc, std::shared_ptr<sim::FsNode> node,
                       std::uint32_t flags);
 
 /// Reads/writes one FILE field honoring the personality (user-mode for
-/// desktop CRTs, kernel thunk for CE).
-std::uint32_t file_field_read(CallContext& ctx, Addr fp, Addr off);
-void file_field_write(CallContext& ctx, Addr fp, Addr off, std::uint32_t v);
+/// desktop CRTs, kernel thunk for CE).  False when the access faulted in
+/// the task; the fault is then pending in the context.
+[[nodiscard]] bool file_field_read(CallContext& ctx, Addr fp, Addr off,
+                                   std::uint32_t* v);
+[[nodiscard]] bool file_field_write(CallContext& ctx, Addr fp, Addr off,
+                                    std::uint32_t v);
 
 /// Character width abstraction so ASCII and UNICODE (CE) variants share
-/// implementations.
+/// implementations.  get/put are user-mode accesses: false on a fault.
 struct CharWidth {
   int bytes = 1;  // 1 = char, 2 = wchar (UTF-16)
-  std::uint32_t get(CallContext& ctx, Addr a, std::uint64_t i) const;
-  void put(CallContext& ctx, Addr a, std::uint64_t i, std::uint32_t c) const;
+  [[nodiscard]] bool get(CallContext& ctx, Addr a, std::uint64_t i,
+                         std::uint32_t* c) const;
+  [[nodiscard]] bool put(CallContext& ctx, Addr a, std::uint64_t i,
+                         std::uint32_t c) const;
 };
 inline constexpr CharWidth kNarrow{1};
 inline constexpr CharWidth kWide{2};
 
-/// Reads [a, a+n) in user mode into a host buffer.  The buffer is sized by
-/// what is mapped, not by the (untrusted) length: when the range runs into
+/// Reads [a, a+n) in user mode into `*out`.  The buffer is sized by what is
+/// mapped, not by the (untrusted) length: when the range runs into
 /// inaccessible memory, the first inaccessible byte is touched before
 /// anything is allocated, so the fault lands at the address — and with the
-/// trace event — read_bytes would have produced.
-std::vector<std::uint8_t> gather_bytes(sim::AddressSpace& mem, Addr a,
-                                       std::uint64_t n);
+/// trace event — a plain read of the range would have produced.  False on
+/// that fault.
+[[nodiscard]] bool gather_bytes(CallContext& ctx, Addr a, std::uint64_t n,
+                                std::vector<std::uint8_t>* out);
 
 /// Page-buffered sequential character reader.  Access checks are
 /// page-granular, so buffering the page a character lands in (loaded lazily,
@@ -144,9 +159,10 @@ class CharScanner {
   CharScanner(CallContext& ctx, Addr base, CharWidth w)
       : ctx_(ctx), base_(base), bytes_(w.bytes), w_(w) {}
 
-  /// The character at index i (byte or UTF-16 code unit).  Scans must touch
-  /// indices in non-decreasing page order to preserve fault timing.
-  std::uint32_t at(std::uint64_t i);
+  /// Stores the character at index i (byte or UTF-16 code unit) in `*c`;
+  /// false when the access faulted.  Scans must touch indices in
+  /// non-decreasing page order to preserve fault timing.
+  [[nodiscard]] bool at(std::uint64_t i, std::uint32_t* c);
 
  private:
   CallContext& ctx_;

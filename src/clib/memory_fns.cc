@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "clib/crt.h"
@@ -32,18 +33,21 @@ constexpr std::uint64_t kHeapLimit = 16 << 20;
 /// boundary.  Within a segment no access can fault (checks are
 /// page-granular), so faults land at segment boundaries — the same
 /// addresses, in the same read-before-write order, with the same partially
-/// written destination, as the historical byte-interleaved loop.
-void block_copy(sim::AddressSpace& mem, Addr dst, Addr src, std::uint64_t n) {
+/// written destination, as the historical byte-interleaved loop.  False on
+/// a fault.
+bool block_copy(CallContext& ctx, Addr dst, Addr src, std::uint64_t n) {
   std::uint8_t tmp[sim::kPageSize];
   std::uint64_t i = 0;
   while (i < n) {
     const std::uint64_t seg = std::min<std::uint64_t>(
         {sim::kPageSize - ((src + i) % sim::kPageSize),
          sim::kPageSize - ((dst + i) % sim::kPageSize), n - i});
-    mem.read_bytes(src + i, {tmp, seg}, sim::Access::kUser);
-    mem.write_bytes(dst + i, {tmp, seg}, sim::Access::kUser);
+    if (!ctx.user_read(src + i, {tmp, seg}) ||
+        !ctx.user_write(dst + i, {tmp, seg}))
+      return false;
     i += seg;
   }
+  return true;
 }
 
 Addr heap_alloc(CallContext& ctx, std::uint64_t size) {
@@ -55,38 +59,49 @@ Addr heap_alloc(CallContext& ctx, std::uint64_t size) {
   return base + 16;
 }
 
-/// Validates a heap pointer the way the active CRT would.  Returns the chunk
-/// size, or nullopt when the pointer was rejected (9x CRT table check);
-/// throws SimFault when the CRT dereferences garbage (glibc, NT CRT).
-std::optional<std::uint64_t> heap_validate(CallContext& ctx, Addr p) {
-  auto& proc = ctx.proc();
-  auto& allocs = proc.default_heap()->allocations;
+/// What a CRT's check of a heap pointer concluded.
+struct HeapCheck {
+  bool faulted = false;  // the CRT dereferenced garbage (glibc, NT CRT)
+  std::optional<std::uint64_t> size;  // nullopt: rejected
+};
+
+/// Validates a heap pointer the way the active CRT would: the chunk size,
+/// nullopt when the pointer was rejected (9x CRT table check), or a fault
+/// when the CRT dereferenced garbage (glibc, NT CRT).
+HeapCheck heap_validate(CallContext& ctx, Addr p) {
+  auto& allocs = ctx.proc().default_heap()->allocations;
   const auto flavor = ctx.os().crt;
+  HeapCheck out;
+  std::uint64_t magic = 0, size = 0;
 
   if (flavor == sim::CrtFlavor::kGlibc) {
     // Chase chunk metadata: header magic, then the "next chunk" walk.  On a
     // bogus chunk the walk strides past the page the pointer happened to sit
     // in — the classic unlink crash.
-    const std::uint64_t magic = proc.mem().read_u64(p - 16, sim::Access::kUser);
-    const std::uint64_t size = proc.mem().read_u64(p - 8, sim::Access::kUser);
+    if (!ctx.user_read_u64(p - 16, &magic) || !ctx.user_read_u64(p - 8, &size))
+      return {true, std::nullopt};
     if (magic != kHeapMagic) {
       const std::uint64_t stride =
           std::max<std::uint64_t>(size & 0xffffff, sim::kPageSize);
-      (void)proc.mem().read_u8(p + stride, sim::Access::kUser);
-      return std::nullopt;
+      std::uint8_t touched = 0;
+      out.faulted = !ctx.user_read_u8(p + stride, &touched);
+      return out;
     }
-    return size;
+    out.size = size;
+    return out;
   }
   if (sim::is_nt_family(ctx.variant())) {
     // VC6 CRT on NT: trust the header.
-    const std::uint64_t magic = proc.mem().read_u64(p - 16, sim::Access::kUser);
-    if (magic != kHeapMagic) return std::nullopt;
-    return proc.mem().read_u64(p - 8, sim::Access::kUser);
+    if (!ctx.user_read_u64(p - 16, &magic)) return {true, std::nullopt};
+    if (magic != kHeapMagic) return out;
+    if (!ctx.user_read_u64(p - 8, &size)) return {true, std::nullopt};
+    out.size = size;
+    return out;
   }
   // 9x / CE CRT: allocation-table lookup, no dereference.
   auto it = allocs.find(p);
-  if (it == allocs.end()) return std::nullopt;
-  return it->second;
+  if (it != allocs.end()) out.size = it->second;
+  return out;
 }
 
 CallOutcome do_malloc(CallContext& ctx) {
@@ -113,7 +128,9 @@ CallOutcome do_calloc(CallContext& ctx) {
 CallOutcome do_free(CallContext& ctx) {
   const Addr p = ctx.arg_addr(0);
   if (p == 0) return ok(0);  // free(NULL) is legal
-  const auto size = heap_validate(ctx, p);
+  const HeapCheck check = heap_validate(ctx, p);
+  if (check.faulted) return core::faulted();
+  const auto& size = check.size;
   auto& allocs = ctx.proc().default_heap()->allocations;
   if (!size) {
     // Rejected: glibc/NT already dereferenced (or survived); the 9x table
@@ -136,7 +153,9 @@ CallOutcome do_realloc(CallContext& ctx) {
     ctx.proc().set_errno(ENOMEM);
     return core::error_reported(0);
   }
-  const auto old_size = heap_validate(ctx, p);
+  const HeapCheck check = heap_validate(ctx, p);
+  if (check.faulted) return core::faulted();
+  const auto& old_size = check.size;
   if (!old_size) {
     ctx.proc().set_errno(EINVAL);
     return core::error_reported(0);
@@ -147,7 +166,8 @@ CallOutcome do_realloc(CallContext& ctx) {
   }
   const Addr np = heap_alloc(ctx, size);
   const std::uint64_t copy = std::min(*old_size, size);
-  block_copy(ctx.proc().mem(), np, p, std::min(copy, kScanCap));
+  if (!block_copy(ctx, np, p, std::min(copy, kScanCap)))
+    return core::faulted();
   ctx.proc().default_heap()->allocations.erase(p);
   return ok(np);
 }
@@ -155,17 +175,19 @@ CallOutcome do_realloc(CallContext& ctx) {
 CallOutcome do_memcpy(CallContext& ctx) {
   const Addr dst = ctx.arg_addr(0), src = ctx.arg_addr(1);
   const std::uint64_t n = ctx.arg(2);
-  block_copy(ctx.proc().mem(), dst, src, std::min(n, kScanCap));
+  if (!block_copy(ctx, dst, src, std::min(n, kScanCap)))
+    return core::faulted();
   return ok(dst);
 }
 
 CallOutcome do_memmove(CallContext& ctx) {
   const Addr dst = ctx.arg_addr(0), src = ctx.arg_addr(1);
   const std::uint64_t n = ctx.arg(2);
-  auto& mem = ctx.proc().mem();
   // Full gather then full scatter, as before (that is what makes it a move).
-  const auto tmp = gather_bytes(mem, src, std::min(n, kScanCap));
-  mem.write_bytes(dst, tmp, sim::Access::kUser);
+  std::vector<std::uint8_t> tmp;
+  if (!gather_bytes(ctx, src, std::min(n, kScanCap), &tmp) ||
+      !ctx.user_write(dst, tmp))
+    return core::faulted();
   return ok(dst);
 }
 
@@ -173,7 +195,6 @@ CallOutcome do_memset(CallContext& ctx) {
   const Addr dst = ctx.arg_addr(0);
   const std::uint8_t c = static_cast<std::uint8_t>(ctx.arg32(1));
   const std::uint64_t n = ctx.arg(2);
-  auto& mem = ctx.proc().mem();
   std::uint8_t fill[sim::kPageSize];
   std::memset(fill, c, sizeof fill);
   std::uint64_t i = 0;
@@ -181,7 +202,7 @@ CallOutcome do_memset(CallContext& ctx) {
   while (i < len) {
     const std::uint64_t seg = std::min<std::uint64_t>(
         sim::kPageSize - ((dst + i) % sim::kPageSize), len - i);
-    mem.write_bytes(dst + i, {fill, seg}, sim::Access::kUser);
+    if (!ctx.user_write(dst + i, {fill, seg})) return core::faulted();
     i += seg;
   }
   return ok(dst);
@@ -190,7 +211,6 @@ CallOutcome do_memset(CallContext& ctx) {
 CallOutcome do_memcmp(CallContext& ctx) {
   const Addr a = ctx.arg_addr(0), b = ctx.arg_addr(1);
   const std::uint64_t n = ctx.arg(2);
-  auto& mem = ctx.proc().mem();
   // Segment at both operands' page boundaries: the early exit at the first
   // differing byte never touches a page the byte-wise loop would not have
   // reached, and the a-before-b fault order is preserved.
@@ -201,8 +221,8 @@ CallOutcome do_memcmp(CallContext& ctx) {
     const std::uint64_t seg = std::min<std::uint64_t>(
         {sim::kPageSize - ((a + i) % sim::kPageSize),
          sim::kPageSize - ((b + i) % sim::kPageSize), len - i});
-    mem.read_bytes(a + i, {ta, seg}, sim::Access::kUser);
-    mem.read_bytes(b + i, {tb, seg}, sim::Access::kUser);
+    if (!ctx.user_read(a + i, {ta, seg}) || !ctx.user_read(b + i, {tb, seg}))
+      return core::faulted();
     for (std::uint64_t k = 0; k < seg; ++k)
       if (ta[k] != tb[k])
         return ok(static_cast<std::uint64_t>(ta[k] < tb[k] ? -1 : 1));
@@ -215,14 +235,13 @@ CallOutcome do_memchr(CallContext& ctx) {
   const Addr s = ctx.arg_addr(0);
   const std::uint8_t c = static_cast<std::uint8_t>(ctx.arg32(1));
   const std::uint64_t n = ctx.arg(2);
-  auto& mem = ctx.proc().mem();
   std::uint8_t tmp[sim::kPageSize];
   std::uint64_t i = 0;
   const std::uint64_t len = std::min(n, kScanCap);
   while (i < len) {
     const std::uint64_t seg = std::min<std::uint64_t>(
         sim::kPageSize - ((s + i) % sim::kPageSize), len - i);
-    mem.read_bytes(s + i, {tmp, seg}, sim::Access::kUser);
+    if (!ctx.user_read(s + i, {tmp, seg})) return core::faulted();
     const void* hit = std::memchr(tmp, c, seg);
     if (hit != nullptr)
       return ok(s + i +

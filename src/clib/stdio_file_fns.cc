@@ -19,17 +19,16 @@ using core::CallOutcome;
 using core::ok;
 using sim::Addr;
 
-std::string read_path(CallContext& ctx, Addr p, CharWidth w) {
-  std::string out;
-  auto& mem = ctx.proc().mem();
+// Every body below returns core::faulted() as soon as an access faults.
+
+bool read_path(CallContext& ctx, Addr p, CharWidth w, std::string* out) {
   for (std::uint64_t i = 0; i < 4096; ++i) {
-    const std::uint32_t c = w.bytes == 1
-                                ? mem.read_u8(p + i, sim::Access::kUser)
-                                : mem.read_u16(p + 2 * i, sim::Access::kUser);
+    std::uint32_t c = 0;
+    if (!w.get(ctx, p, i, &c)) return false;
     if (c == 0) break;
-    out.push_back(static_cast<char>(c & 0xff));
+    out->push_back(static_cast<char>(c & 0xff));
   }
-  return out;
+  return true;
 }
 
 struct Mode {
@@ -40,51 +39,46 @@ struct Mode {
   bool append = false;
 };
 
-Mode parse_mode(CallContext& ctx, Addr m, CharWidth w) {
-  Mode out;
-  auto& mem = ctx.proc().mem();
-  char c0 = 0, c1 = 0, c2 = 0;
-  if (w.bytes == 1) {
-    c0 = static_cast<char>(mem.read_u8(m, sim::Access::kUser));
-    if (c0 != 0) c1 = static_cast<char>(mem.read_u8(m + 1, sim::Access::kUser));
-    if (c1 != 0) c2 = static_cast<char>(mem.read_u8(m + 2, sim::Access::kUser));
-  } else {
-    c0 = static_cast<char>(mem.read_u16(m, sim::Access::kUser));
-    if (c0 != 0)
-      c1 = static_cast<char>(mem.read_u16(m + 2, sim::Access::kUser));
-    if (c1 != 0)
-      c2 = static_cast<char>(mem.read_u16(m + 4, sim::Access::kUser));
+bool parse_mode(CallContext& ctx, Addr m, CharWidth w, Mode* out) {
+  char c[3] = {0, 0, 0};
+  for (int i = 0; i < 3 && (i == 0 || c[i - 1] != 0); ++i) {
+    std::uint32_t v = 0;
+    if (!w.get(ctx, m, static_cast<std::uint64_t>(i), &v)) return false;
+    c[i] = static_cast<char>(v);
   }
-  const bool plus = c1 == '+' || c2 == '+';
-  switch (c0) {
+  const bool plus = c[1] == '+' || c[2] == '+';
+  switch (c[0]) {
     case 'r':
-      out.valid = true;
-      out.flags = kFRead | (plus ? kFWrite : 0u);
+      out->valid = true;
+      out->flags = kFRead | (plus ? kFWrite : 0u);
       break;
     case 'w':
-      out.valid = true;
-      out.flags = kFWrite | (plus ? kFRead : 0u);
-      out.truncate = true;
-      out.create = true;
+      out->valid = true;
+      out->flags = kFWrite | (plus ? kFRead : 0u);
+      out->truncate = true;
+      out->create = true;
       break;
     case 'a':
-      out.valid = true;
-      out.flags = kFWrite | (plus ? kFRead : 0u);
-      out.create = true;
-      out.append = true;
+      out->valid = true;
+      out->flags = kFWrite | (plus ? kFRead : 0u);
+      out->create = true;
+      out->append = true;
       break;
     default:
       break;
   }
-  return out;
+  return true;
 }
 
 /// Opens a path into a fresh or reused FILE structure.
 CallOutcome open_common(CallContext& ctx, Addr path_arg, Addr mode_arg,
                         CharWidth w, Addr reuse_fp) {
   auto& proc = ctx.proc();
-  const std::string path = read_path(ctx, path_arg, w);
-  const Mode mode = parse_mode(ctx, mode_arg, w);
+  std::string path;
+  Mode mode;
+  if (!read_path(ctx, path_arg, w, &path) ||
+      !parse_mode(ctx, mode_arg, w, &mode))
+    return core::faulted();
   if (!mode.valid || path.empty()) {
     if (ctx.os().crt == sim::CrtFlavor::kGlibc && !mode.valid) {
       // Period glibc quirk: fopen with a bogus mode string failed with
@@ -133,9 +127,11 @@ CallOutcome open_common(CallContext& ctx, Addr path_arg, Addr mode_arg,
         sim::FileObject::kAccessRead | sim::FileObject::kAccessWrite,
         mode.append);
     const std::uint64_t h = proc.handles().insert(std::move(obj));
-    file_field_write(ctx, fp, kFileOffHandle, static_cast<std::uint32_t>(h));
-    file_field_write(ctx, fp, kFileOffFlags, mode.flags | kFOpen);
-    file_field_write(ctx, fp, kFileOffMagic, kFileMagic);
+    if (!file_field_write(ctx, fp, kFileOffHandle,
+                          static_cast<std::uint32_t>(h)) ||
+        !file_field_write(ctx, fp, kFileOffFlags, mode.flags | kFOpen) ||
+        !file_field_write(ctx, fp, kFileOffMagic, kFileMagic))
+      return core::faulted();
   }
   return ok(fp);
 }
@@ -147,8 +143,9 @@ CallOutcome fopen_impl(CallContext& ctx, CharWidth w) {
 CallOutcome freopen_impl(CallContext& ctx, CharWidth w) {
   const Addr fp = ctx.arg_addr(2);
   const FileRef ref = resolve_file(ctx, fp);
-  if (ref.status != FileRef::Status::kOk) return core::error_reported(0);
-  const std::uint32_t h = file_field_read(ctx, fp, kFileOffHandle);
+  if (ref.status != FileRef::Status::kOk) return ref.failure(0);
+  std::uint32_t h = 0;
+  if (!file_field_read(ctx, fp, kFileOffHandle, &h)) return core::faulted();
   ctx.proc().handles().close(h);
   return open_common(ctx, ctx.arg_addr(0), ctx.arg_addr(1), w, fp);
 }
@@ -157,15 +154,15 @@ CallOutcome fclose_impl(CallContext& ctx) {
   const Addr fp = ctx.arg_addr(0);
   const FileRef ref = resolve_file(ctx, fp);
   if (ref.status != FileRef::Status::kOk)
-    return core::error_reported(static_cast<std::uint64_t>(-1));
-  const std::uint32_t h = file_field_read(ctx, fp, kFileOffHandle);
+    return ref.failure(static_cast<std::uint64_t>(-1));
+  std::uint32_t h = 0;
+  if (!file_field_read(ctx, fp, kFileOffHandle, &h)) return core::faulted();
   ctx.proc().handles().close(h);
   // Mark the structure closed: cleared magic, cleared pointers — the state
   // the "file_closed" test value reproduces.
-  file_field_write(ctx, fp, kFileOffMagic, 0);
-  file_field_write(ctx, fp, kFileOffFlags, 0);
-  file_field_write(ctx, fp, kFileOffBuf, 0);
-  file_field_write(ctx, fp, kFileOffLock, 0);
+  for (const Addr off : {kFileOffMagic, kFileOffFlags, kFileOffBuf,
+                         kFileOffLock})
+    if (!file_field_write(ctx, fp, off, 0)) return core::faulted();
   return ok(0);
 }
 
@@ -176,7 +173,7 @@ CallOutcome fflush_impl(CallContext& ctx) {
   if (fp == 0 && !ctx.os().crt_in_kernel) return ok(0);
   const FileRef ref = resolve_file(ctx, fp);
   if (ref.status != FileRef::Status::kOk)
-    return core::error_reported(static_cast<std::uint64_t>(-1));
+    return ref.failure(static_cast<std::uint64_t>(-1));
   return ok(0);  // in-memory backing store: nothing buffered
 }
 
@@ -186,7 +183,7 @@ CallOutcome fseek_impl(CallContext& ctx) {
   const std::int32_t whence = ctx.argi(2);
   const FileRef ref = resolve_file(ctx, fp);
   if (ref.status != FileRef::Status::kOk)
-    return core::error_reported(static_cast<std::uint64_t>(-1));
+    return ref.failure(static_cast<std::uint64_t>(-1));
   std::int64_t base = 0;
   switch (whence) {
     case 0: base = 0; break;                                          // SEEK_SET
@@ -204,15 +201,16 @@ CallOutcome fseek_impl(CallContext& ctx) {
   }
   ref.obj->set_position(static_cast<std::uint64_t>(target));
   // fseek clears the unget slot and EOF.
-  file_field_write(ctx, fp, kFileOffUnget, 0xffffffff);
-  file_field_write(ctx, fp, kFileOffFlags, ref.flags & ~kFEof);
+  if (!file_field_write(ctx, fp, kFileOffUnget, 0xffffffff) ||
+      !file_field_write(ctx, fp, kFileOffFlags, ref.flags & ~kFEof))
+    return core::faulted();
   return ok(0);
 }
 
 CallOutcome ftell_impl(CallContext& ctx) {
   const FileRef ref = resolve_file(ctx, ctx.arg_addr(0));
   if (ref.status != FileRef::Status::kOk)
-    return core::error_reported(static_cast<std::uint64_t>(-1));
+    return ref.failure(static_cast<std::uint64_t>(-1));
   return ok(ref.obj->position());
 }
 
@@ -221,23 +219,26 @@ CallOutcome rewind_impl(CallContext& ctx) {
   const FileRef ref = resolve_file(ctx, ctx.arg_addr(0),
                                    /*ce_prevalidates=*/true);
   if (ref.status != FileRef::Status::kOk)
-    return core::error_reported(0);  // void function; observable via errno
+    return ref.failure(0);  // void function; observable via errno
   ref.obj->set_position(0);
-  file_field_write(ctx, ctx.arg_addr(0), kFileOffFlags,
-                   ref.flags & ~(kFEof | kFErr));
+  if (!file_field_write(ctx, ctx.arg_addr(0), kFileOffFlags,
+                        ref.flags & ~(kFEof | kFErr)))
+    return core::faulted();
   return ok(0);
 }
 
 CallOutcome clearerr_impl(CallContext& ctx) {
   const Addr fp = ctx.arg_addr(0);
   const FileRef ref = resolve_file(ctx, fp);
-  if (ref.status != FileRef::Status::kOk) return core::error_reported(0);
-  file_field_write(ctx, fp, kFileOffFlags, ref.flags & ~(kFEof | kFErr));
+  if (ref.status != FileRef::Status::kOk) return ref.failure(0);
+  if (!file_field_write(ctx, fp, kFileOffFlags, ref.flags & ~(kFEof | kFErr)))
+    return core::faulted();
   return ok(0);
 }
 
 CallOutcome remove_impl(CallContext& ctx, CharWidth w) {
-  const std::string path = read_path(ctx, ctx.arg_addr(0), w);
+  std::string path;
+  if (!read_path(ctx, ctx.arg_addr(0), w, &path)) return core::faulted();
   auto& fs = ctx.machine().fs();
   if (!fs.remove_file(fs.parse(path, ctx.proc().cwd()))) {
     ctx.proc().set_errno(ENOENT);
@@ -247,8 +248,10 @@ CallOutcome remove_impl(CallContext& ctx, CharWidth w) {
 }
 
 CallOutcome rename_impl(CallContext& ctx, CharWidth w) {
-  const std::string from = read_path(ctx, ctx.arg_addr(0), w);
-  const std::string to = read_path(ctx, ctx.arg_addr(1), w);
+  std::string from, to;
+  if (!read_path(ctx, ctx.arg_addr(0), w, &from) ||
+      !read_path(ctx, ctx.arg_addr(1), w, &to))
+    return core::faulted();
   auto& fs = ctx.machine().fs();
   if (!fs.rename(fs.parse(from, ctx.proc().cwd()),
                  fs.parse(to, ctx.proc().cwd()))) {

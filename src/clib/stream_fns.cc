@@ -38,39 +38,40 @@ void maybe_block_on_stdin(CallContext& ctx, const FileRef& ref) {
 }
 
 /// Stores bytes at a task address; hazard-active MuTs (Win98 fwrite, CE
-/// fread/fgets) stage through kernel memory.  Like load_bytes, it cannot
-/// return a CallOutcome, so a fault in the task throws (the hazard paths
-/// corrupt or panic inside the helper instead).
-void store_bytes(CallContext& ctx, Addr a, std::span<const std::uint8_t> in) {
-  if (ctx.hazard() != core::CrashStyle::kNone) {
-    if (ctx.k_write(a, in) == MemStatus::kFault) ctx.raise_pending_fault();
-    return;
-  }
-  ctx.proc().mem().write_bytes(a, in, sim::Access::kUser);
+/// fread/fgets) stage through kernel memory, where a bad pointer corrupts or
+/// panics inside the helper instead.  False when the store faulted in the
+/// task.
+bool store_bytes(CallContext& ctx, Addr a, std::span<const std::uint8_t> in) {
+  if (ctx.hazard() != core::CrashStyle::kNone)
+    return ctx.k_write(a, in) != MemStatus::kFault;
+  return ctx.user_write(a, in);
 }
 
-std::vector<std::uint8_t> load_bytes(CallContext& ctx, Addr a,
-                                     std::uint64_t n) {
+/// Loads up to kIoCap bytes from a task address into `*out` (staged like
+/// store_bytes).  False when the load faulted in the task.
+bool load_bytes(CallContext& ctx, Addr a, std::uint64_t n,
+                std::vector<std::uint8_t>* out) {
   n = std::min(n, kIoCap);
   if (ctx.hazard() == core::CrashStyle::kNone)
-    return gather_bytes(ctx.proc().mem(), a, n);
-  std::vector<std::uint8_t> out(n);
-  if (ctx.k_read(a, out) == MemStatus::kFault) ctx.raise_pending_fault();
-  return out;
+    return gather_bytes(ctx, a, n, out);
+  out->resize(n);
+  return ctx.k_read(a, *out) != MemStatus::kFault;
 }
+
+// Every body below returns core::faulted() as soon as an access faults.
 
 CallOutcome fread_impl(CallContext& ctx) {
   const Addr ptr = ctx.arg_addr(0);
   const std::uint64_t size = ctx.arg(1), n = ctx.arg(2);
   const FileRef ref = resolve_file(ctx, ctx.arg_addr(3));
-  if (ref.status != FileRef::Status::kOk) return core::error_reported(0);
+  if (ref.status != FileRef::Status::kOk) return ref.failure(0);
   if (size == 0 || n == 0) return ok(0);
   maybe_block_on_stdin(ctx, ref);
   // Staging holds what the file can deliver, not the untrusted request.
   std::vector<std::uint8_t> data(
       std::min({size * n, kIoCap, ref.obj->remaining()}));
   const std::uint64_t got = ref.obj->read_at(data);
-  store_bytes(ctx, ptr, data);
+  if (!store_bytes(ctx, ptr, data)) return core::faulted();
   return ok(got / size);
 }
 
@@ -78,14 +79,15 @@ CallOutcome fwrite_impl(CallContext& ctx) {
   const Addr ptr = ctx.arg_addr(0);
   const std::uint64_t size = ctx.arg(1), n = ctx.arg(2);
   const FileRef ref = resolve_file(ctx, ctx.arg_addr(3));
-  if (ref.status != FileRef::Status::kOk) return core::error_reported(0);
+  if (ref.status != FileRef::Status::kOk) return ref.failure(0);
   if (size == 0 || n == 0) return ok(0);
   if ((ref.flags & kFWrite) == 0) {
     ctx.proc().set_errno(EBADF);
     return core::error_reported(0);
   }
   const std::uint64_t total = std::min(size * n, kIoCap);
-  const auto data = load_bytes(ctx, ptr, total);
+  std::vector<std::uint8_t> data;
+  if (!load_bytes(ctx, ptr, total, &data)) return core::faulted();
   ref.obj->write_at(data);
   return ok(total / size);
 }
@@ -94,10 +96,12 @@ CallOutcome fgetc_impl(CallContext& ctx) {
   const Addr fp = ctx.arg_addr(0);
   const FileRef ref = resolve_file(ctx, fp);
   if (ref.status != FileRef::Status::kOk)
-    return core::error_reported(static_cast<std::uint64_t>(-1));
-  const std::uint32_t unget = file_field_read(ctx, fp, kFileOffUnget);
+    return ref.failure(static_cast<std::uint64_t>(-1));
+  std::uint32_t unget = 0;
+  if (!file_field_read(ctx, fp, kFileOffUnget, &unget)) return core::faulted();
   if (unget != 0xffffffff) {
-    file_field_write(ctx, fp, kFileOffUnget, 0xffffffff);
+    if (!file_field_write(ctx, fp, kFileOffUnget, 0xffffffff))
+      return core::faulted();
     return ok(unget);
   }
   std::uint8_t c = 0;
@@ -105,7 +109,8 @@ CallOutcome fgetc_impl(CallContext& ctx) {
     // Reading past the end of an interactive stream blocks for input that
     // will never come (a Restart failure); a regular file is simply at EOF.
     if (ref.obj->node()->name() == "stdin") ctx.proc().hang("fgetc(stdin)");
-    file_field_write(ctx, fp, kFileOffFlags, ref.flags | kFEof);
+    if (!file_field_write(ctx, fp, kFileOffFlags, ref.flags | kFEof))
+      return core::faulted();
     return ok(static_cast<std::uint64_t>(-1));  // EOF: normal indication
   }
   return ok(c);
@@ -115,7 +120,7 @@ CallOutcome fputc_impl(CallContext& ctx) {
   const std::uint8_t c = static_cast<std::uint8_t>(ctx.arg32(0));
   const FileRef ref = resolve_file(ctx, ctx.arg_addr(1));
   if (ref.status != FileRef::Status::kOk)
-    return core::error_reported(static_cast<std::uint64_t>(-1));
+    return ref.failure(static_cast<std::uint64_t>(-1));
   if ((ref.flags & kFWrite) == 0) {
     ctx.proc().set_errno(EBADF);
     return core::error_reported(static_cast<std::uint64_t>(-1));
@@ -129,9 +134,10 @@ CallOutcome ungetc_impl(CallContext& ctx) {
   const Addr fp = ctx.arg_addr(1);
   const FileRef ref = resolve_file(ctx, fp);
   if (ref.status != FileRef::Status::kOk)
-    return core::error_reported(static_cast<std::uint64_t>(-1));
+    return ref.failure(static_cast<std::uint64_t>(-1));
   if (c == 0xffffffff) return ok(static_cast<std::uint64_t>(-1));  // EOF
-  file_field_write(ctx, fp, kFileOffUnget, c & 0xff);
+  if (!file_field_write(ctx, fp, kFileOffUnget, c & 0xff))
+    return core::faulted();
   return ok(c & 0xff);
 }
 
@@ -140,7 +146,7 @@ core::ApiImpl fgets_fn(CharWidth w) {
     const Addr s = ctx.arg_addr(0);
     const std::int32_t n = ctx.argi(1);
     const FileRef ref = resolve_file(ctx, ctx.arg_addr(2));
-    if (ref.status != FileRef::Status::kOk) return core::error_reported(0);
+    if (ref.status != FileRef::Status::kOk) return ref.failure(0);
     if (n <= 0) {
       ctx.proc().set_errno(EINVAL);
       return core::error_reported(0);
@@ -155,19 +161,19 @@ core::ApiImpl fgets_fn(CharWidth w) {
       if (c == '\n') break;
     }
     if (line.empty()) return core::error_reported(0);  // EOF
+    std::vector<std::uint8_t> bytes;
     if (w.bytes == 1) {
-      line.push_back(0);
-      store_bytes(ctx, s, line);
+      bytes = std::move(line);
+      bytes.push_back(0);
     } else {
-      std::vector<std::uint8_t> wide;
       for (std::uint8_t c : line) {
-        wide.push_back(c);
-        wide.push_back(0);
+        bytes.push_back(c);
+        bytes.push_back(0);
       }
-      wide.push_back(0);
-      wide.push_back(0);
-      store_bytes(ctx, s, wide);
+      bytes.push_back(0);
+      bytes.push_back(0);
     }
+    if (!store_bytes(ctx, s, bytes)) return core::faulted();
     return ok(s);
   };
 }
@@ -184,11 +190,12 @@ core::ApiImpl fputs_fn(CharWidth w, bool with_file, bool newline) {
       ref = resolve_file(ctx, st.file_stdout);
     }
     if (ref.status != FileRef::Status::kOk)
-      return core::error_reported(static_cast<std::uint64_t>(-1));
+      return ref.failure(static_cast<std::uint64_t>(-1));
     CharScanner sc(ctx, s, w);
     std::vector<std::uint8_t> data;
     for (std::uint64_t i = 0; i < kIoCap; ++i) {
-      const std::uint32_t c = sc.at(i);
+      std::uint32_t c = 0;
+      if (!sc.at(i, &c)) return core::faulted();
       if (c == 0) break;
       data.push_back(static_cast<std::uint8_t>(c & 0xff));
     }
@@ -200,18 +207,15 @@ core::ApiImpl fputs_fn(CharWidth w, bool with_file, bool newline) {
 
 /// printf-core with no variadic arguments: %d-class conversions print a
 /// garbage zero; %s reads and %n writes through the garbage pointer slot
-/// (address 0).
-std::string format_no_args(CallContext& ctx, Addr fmt, CharWidth w,
-                           bool* ok_out) {
-  auto& mem = ctx.proc().mem();
+/// (address 0).  Appends the output to `*out`; false on a fault.
+bool format_no_args(CallContext& ctx, Addr fmt, CharWidth w, std::string* out) {
   CharScanner sc(ctx, fmt, w);
-  std::string out;
-  *ok_out = true;
   for (std::uint64_t i = 0; i < kIoCap; ++i) {
-    const std::uint32_t c = sc.at(i);
+    std::uint32_t c = 0;
+    if (!sc.at(i, &c)) return false;
     if (c == 0) break;
     if (c != '%') {
-      out.push_back(static_cast<char>(c & 0xff));
+      out->push_back(static_cast<char>(c & 0xff));
       continue;
     }
     // parse %[flags][width][.prec]conv
@@ -219,7 +223,7 @@ std::string format_no_args(CallContext& ctx, Addr fmt, CharWidth w,
     std::uint64_t width = 0;
     std::uint32_t conv = 0;
     for (; i < kIoCap; ++i) {
-      conv = sc.at(i);
+      if (!sc.at(i, &conv)) return false;
       if (conv >= '0' && conv <= '9') {
         width = width * 10 + (conv - '0');
         continue;
@@ -231,46 +235,46 @@ std::string format_no_args(CallContext& ctx, Addr fmt, CharWidth w,
     }
     switch (conv) {
       case 0:  // trailing '%'
-        out.push_back('%');
-        return out;
+        out->push_back('%');
+        return true;
       case '%':
-        out.push_back('%');
+        out->push_back('%');
         break;
       case 'd': case 'i': case 'u': case 'x': case 'o': case 'c':
-        out.append(std::string(std::min<std::uint64_t>(width, 1 << 16), '0'));
-        if (width == 0) out.push_back('0');
+        out->append(std::string(std::min<std::uint64_t>(width, 1 << 16), '0'));
+        if (width == 0) out->push_back('0');
         break;
       case 'f': case 'e': case 'g':
-        out.append("0.000000");
+        out->append("0.000000");
         break;
       case 'p':
-        out.append("0x0");
+        out->append("0x0");
         break;
       case 's': {
         // Missing variadic argument: stack garbage, modeled as NULL.
-        (void)mem.read_u8(0, sim::Access::kUser);  // faults
+        std::uint8_t first = 0;
+        if (!ctx.user_read_u8(0, &first)) return false;
         break;
       }
-      case 'n': {
-        mem.write_u32(0, static_cast<std::uint32_t>(out.size()),
-                      sim::Access::kUser);  // faults
+      case 'n':
+        if (!ctx.user_write_u32(0, static_cast<std::uint32_t>(out->size())))
+          return false;
         break;
-      }
       default:
-        out.push_back(static_cast<char>(conv & 0xff));
+        out->push_back(static_cast<char>(conv & 0xff));
         break;
     }
   }
-  return out;
+  return true;
 }
 
 core::ApiImpl fprintf_fn(CharWidth w) {
   return [w](CallContext& ctx) -> CallOutcome {
     const FileRef ref = resolve_file(ctx, ctx.arg_addr(0));
     if (ref.status != FileRef::Status::kOk)
-      return core::error_reported(static_cast<std::uint64_t>(-1));
-    bool fmt_ok = false;
-    const std::string s = format_no_args(ctx, ctx.arg_addr(1), w, &fmt_ok);
+      return ref.failure(static_cast<std::uint64_t>(-1));
+    std::string s;
+    if (!format_no_args(ctx, ctx.arg_addr(1), w, &s)) return core::faulted();
     ref.obj->write_at(
         {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
     return ok(s.size());
@@ -280,8 +284,8 @@ core::ApiImpl fprintf_fn(CharWidth w) {
 core::ApiImpl sprintf_fn(CharWidth w) {
   return [w](CallContext& ctx) -> CallOutcome {
     const Addr buf = ctx.arg_addr(0);
-    bool fmt_ok = false;
-    const std::string s = format_no_args(ctx, ctx.arg_addr(1), w, &fmt_ok);
+    std::string s;
+    if (!format_no_args(ctx, ctx.arg_addr(1), w, &s)) return core::faulted();
     std::vector<std::uint8_t> bytes;
     if (w.bytes == 1) {
       bytes.assign(s.begin(), s.end());
@@ -294,7 +298,7 @@ core::ApiImpl sprintf_fn(CharWidth w) {
       bytes.push_back(0);
       bytes.push_back(0);
     }
-    store_bytes(ctx, buf, bytes);
+    if (!store_bytes(ctx, buf, bytes)) return core::faulted();
     return ok(s.size());
   };
 }
@@ -302,23 +306,21 @@ core::ApiImpl sprintf_fn(CharWidth w) {
 /// scanf-core: conversions store through the missing-argument slot (NULL).
 CallOutcome scan_no_args(CallContext& ctx, const std::string& input, Addr fmt,
                          CharWidth w) {
-  auto& mem = ctx.proc().mem();
   CharScanner sc(ctx, fmt, w);
   int converted = 0;
   std::size_t pos = 0;
   for (std::uint64_t i = 0; i < kIoCap; ++i) {
-    const std::uint32_t c = sc.at(i);
+    std::uint32_t c = 0;
+    if (!sc.at(i, &c)) return core::faulted();
     if (c == 0) break;
     if (c != '%') {
       if (pos < input.size() && input[pos] == static_cast<char>(c)) ++pos;
       continue;
     }
-    ++i;
-    std::uint32_t conv = sc.at(i);
-    while (conv == 'l' || conv == 'h' || (conv >= '0' && conv <= '9')) {
-      ++i;
-      conv = sc.at(i);
-    }
+    std::uint32_t conv = 0;
+    if (!sc.at(++i, &conv)) return core::faulted();
+    while (conv == 'l' || conv == 'h' || (conv >= '0' && conv <= '9'))
+      if (!sc.at(++i, &conv)) return core::faulted();
     while (pos < input.size() && input[pos] == ' ') ++pos;
     switch (conv) {
       case 'd': case 'i': case 'u': case 'x': {
@@ -330,14 +332,15 @@ CallOutcome scan_no_args(CallContext& ctx, const std::string& input, Addr fmt,
           any = true;
         }
         if (!any) return ok(static_cast<std::uint64_t>(converted));
-        mem.write_u32(0, v, sim::Access::kUser);  // missing arg: faults
+        // The missing argument slot (NULL) faults.
+        if (!ctx.user_write_u32(0, v)) return core::faulted();
         ++converted;
         break;
       }
       case 's': case 'c': {
         if (pos >= input.size()) return ok(static_cast<std::uint64_t>(converted));
-        mem.write_u8(0, static_cast<std::uint8_t>(input[pos]),
-                     sim::Access::kUser);  // faults
+        if (!ctx.user_write_u8(0, static_cast<std::uint8_t>(input[pos])))
+          return core::faulted();
         ++converted;
         break;
       }
@@ -355,7 +358,7 @@ core::ApiImpl fscanf_fn(CharWidth w) {
   return [w](CallContext& ctx) -> CallOutcome {
     const FileRef ref = resolve_file(ctx, ctx.arg_addr(0));
     if (ref.status != FileRef::Status::kOk)
-      return core::error_reported(static_cast<std::uint64_t>(-1));
+      return ref.failure(static_cast<std::uint64_t>(-1));
     maybe_block_on_stdin(ctx, ref);
     std::vector<std::uint8_t> data(256);
     const std::uint64_t got = ref.obj->read_at(data);
@@ -369,7 +372,8 @@ CallOutcome sscanf_impl(CallContext& ctx) {
   CharScanner sc(ctx, ctx.arg_addr(0), kNarrow);
   std::string input;
   for (std::uint64_t i = 0; i < 4096; ++i) {
-    const std::uint32_t c = sc.at(i);
+    std::uint32_t c = 0;
+    if (!sc.at(i, &c)) return core::faulted();
     if (c == 0) break;
     input.push_back(static_cast<char>(c));
   }

@@ -26,71 +26,88 @@ using sim::Addr;
 
 constexpr std::uint64_t kScanCap = 1 << 20;  // bound runaway scans
 
-std::uint64_t c_strlen(CallContext& ctx, Addr s, CharWidth w) {
+// Every body below returns core::faulted() as soon as an access faults: the
+// fault is pending in the context and the call never returns to the task.
+
+/// Length of the NUL-terminated string at s, bounded by kScanCap.
+bool c_strlen(CallContext& ctx, Addr s, CharWidth w, std::uint64_t* len) {
   CharScanner sc(ctx, s, w);
   std::uint64_t i = 0;
-  while (i < kScanCap && sc.at(i) != 0) ++i;
-  return i;
+  for (std::uint32_t c = 0; i < kScanCap; ++i) {
+    if (!sc.at(i, &c)) return false;
+    if (c == 0) break;
+  }
+  *len = i;
+  return true;
 }
 
 /// Reads a bounded host copy of a NUL-terminated simulated string.
-std::string c_str_host(CallContext& ctx, Addr s, CharWidth w,
-                       std::uint64_t cap = 65536) {
+bool c_str_host(CallContext& ctx, Addr s, CharWidth w, std::string* out,
+                std::uint64_t cap = 65536) {
   CharScanner sc(ctx, s, w);
-  std::string out;
   for (std::uint64_t i = 0; i < cap; ++i) {
-    const std::uint32_t c = sc.at(i);
+    std::uint32_t c = 0;
+    if (!sc.at(i, &c)) return false;
     if (c == 0) break;
-    out.push_back(static_cast<char>(c & 0xff));
+    out->push_back(static_cast<char>(c & 0xff));
   }
-  return out;
+  return true;
 }
 
 core::ApiImpl strlen_fn(CharWidth w) {
-  return [w](CallContext& ctx) { return ok(c_strlen(ctx, ctx.arg_addr(0), w)); };
+  return [w](CallContext& ctx) -> CallOutcome {
+    std::uint64_t n = 0;
+    if (!c_strlen(ctx, ctx.arg_addr(0), w, &n)) return core::faulted();
+    return ok(n);
+  };
+}
+
+/// Copies src's characters to dst + base through its NUL.
+bool copy_through_nul(CallContext& ctx, Addr dst, std::uint64_t base, Addr src,
+                      CharWidth w) {
+  CharScanner sc(ctx, src, w);  // reads stay src-faithful; writes per-char
+  for (std::uint64_t i = 0; i < kScanCap; ++i) {
+    std::uint32_t c = 0;
+    if (!sc.at(i, &c) || !w.put(ctx, dst, base + i, c)) return false;
+    if (c == 0) break;
+  }
+  return true;
 }
 
 core::ApiImpl strcpy_fn(CharWidth w) {
-  return [w](CallContext& ctx) {
+  return [w](CallContext& ctx) -> CallOutcome {
     const Addr dst = ctx.arg_addr(0), src = ctx.arg_addr(1);
-    CharScanner sc(ctx, src, w);  // reads stay src-faithful; writes per-char
-    std::uint64_t i = 0;
-    for (; i < kScanCap; ++i) {
-      const std::uint32_t c = sc.at(i);
-      w.put(ctx, dst, i, c);
-      if (c == 0) break;
-    }
+    if (!copy_through_nul(ctx, dst, 0, src, w)) return core::faulted();
     return ok(dst);
   };
 }
 
 core::ApiImpl strcat_fn(CharWidth w) {
-  return [w](CallContext& ctx) {
+  return [w](CallContext& ctx) -> CallOutcome {
     const Addr dst = ctx.arg_addr(0), src = ctx.arg_addr(1);
-    std::uint64_t base = c_strlen(ctx, dst, w);
-    CharScanner sc(ctx, src, w);
-    for (std::uint64_t i = 0; i < kScanCap; ++i) {
-      const std::uint32_t c = sc.at(i);
-      w.put(ctx, dst, base + i, c);
-      if (c == 0) break;
-    }
+    std::uint64_t base = 0;
+    if (!c_strlen(ctx, dst, w, &base) ||
+        !copy_through_nul(ctx, dst, base, src, w))
+      return core::faulted();
     return ok(dst);
   };
 }
 
 core::ApiImpl strncat_fn(CharWidth w) {
-  return [w](CallContext& ctx) {
+  return [w](CallContext& ctx) -> CallOutcome {
     const Addr dst = ctx.arg_addr(0), src = ctx.arg_addr(1);
     const std::uint64_t n = ctx.arg(2);
-    const std::uint64_t base = c_strlen(ctx, dst, w);
+    std::uint64_t base = 0;
+    if (!c_strlen(ctx, dst, w, &base)) return core::faulted();
     CharScanner sc(ctx, src, w);
     std::uint64_t i = 0;
     for (; i < n && i < kScanCap; ++i) {
-      const std::uint32_t c = sc.at(i);
+      std::uint32_t c = 0;
+      if (!sc.at(i, &c)) return core::faulted();
       if (c == 0) break;
-      w.put(ctx, dst, base + i, c);
+      if (!w.put(ctx, dst, base + i, c)) return core::faulted();
     }
-    w.put(ctx, dst, base + i, 0);
+    if (!w.put(ctx, dst, base + i, 0)) return core::faulted();
     return ok(dst);
   };
 }
@@ -105,7 +122,8 @@ core::ApiImpl strncpy_fn(CharWidth w) {
     if (ctx.hazard() != core::CrashStyle::kNone) {
       // Optimized block path: gather (bounded) source, then one kernel-side
       // block store of min(n, one page).
-      std::string data = c_str_host(ctx, src, w, 4096);
+      std::string data;
+      if (!c_str_host(ctx, src, w, &data, 4096)) return core::faulted();
       const std::uint64_t total =
           std::min<std::uint64_t>(n, 4096) * w.bytes;
       std::vector<std::uint8_t> block(total, 0);
@@ -119,55 +137,48 @@ core::ApiImpl strncpy_fn(CharWidth w) {
     CharScanner sc(ctx, src, w);
     std::uint64_t i = 0;
     for (; i < n && i < kScanCap; ++i) {
-      const std::uint32_t c = sc.at(i);
-      w.put(ctx, dst, i, c);
+      std::uint32_t c = 0;
+      if (!sc.at(i, &c) || !w.put(ctx, dst, i, c)) return core::faulted();
       if (c == 0) {
         ++i;
         break;
       }
     }
-    for (; i < n && i < kScanCap; ++i) w.put(ctx, dst, i, 0);
+    for (; i < n && i < kScanCap; ++i)
+      if (!w.put(ctx, dst, i, 0)) return core::faulted();
     return ok(dst);
   };
 }
 
+/// strcmp (n = kScanCap) and strncmp.
+CallOutcome compare(CallContext& ctx, CharWidth w, std::uint64_t n) {
+  CharScanner sa(ctx, ctx.arg_addr(0), w), sb(ctx, ctx.arg_addr(1), w);
+  for (std::uint64_t i = 0; i < n && i < kScanCap; ++i) {
+    std::uint32_t ca = 0, cb = 0;
+    if (!sa.at(i, &ca) || !sb.at(i, &cb)) return core::faulted();
+    if (ca != cb) return ok(static_cast<std::uint64_t>(ca < cb ? -1 : 1));
+    if (ca == 0) break;
+  }
+  return ok(0);
+}
+
 core::ApiImpl strcmp_fn(CharWidth w) {
-  return [w](CallContext& ctx) {
-    const Addr a = ctx.arg_addr(0), b = ctx.arg_addr(1);
-    CharScanner sa(ctx, a, w), sb(ctx, b, w);
-    for (std::uint64_t i = 0; i < kScanCap; ++i) {
-      const std::uint32_t ca = sa.at(i), cb = sb.at(i);
-      if (ca != cb)
-        return ok(static_cast<std::uint64_t>(ca < cb ? -1 : 1));
-      if (ca == 0) break;
-    }
-    return ok(0);
-  };
+  return [w](CallContext& ctx) { return compare(ctx, w, kScanCap); };
 }
 
 core::ApiImpl strncmp_fn(CharWidth w) {
-  return [w](CallContext& ctx) {
-    const Addr a = ctx.arg_addr(0), b = ctx.arg_addr(1);
-    const std::uint64_t n = ctx.arg(2);
-    CharScanner sa(ctx, a, w), sb(ctx, b, w);
-    for (std::uint64_t i = 0; i < n && i < kScanCap; ++i) {
-      const std::uint32_t ca = sa.at(i), cb = sb.at(i);
-      if (ca != cb)
-        return ok(static_cast<std::uint64_t>(ca < cb ? -1 : 1));
-      if (ca == 0) break;
-    }
-    return ok(0);
-  };
+  return [w](CallContext& ctx) { return compare(ctx, w, ctx.arg(2)); };
 }
 
 core::ApiImpl strchr_fn(CharWidth w, bool reverse) {
-  return [w, reverse](CallContext& ctx) {
+  return [w, reverse](CallContext& ctx) -> CallOutcome {
     const Addr s = ctx.arg_addr(0);
     const std::uint32_t target = ctx.arg32(1) & (w.bytes == 1 ? 0xffu : 0xffffu);
     CharScanner sc(ctx, s, w);
     Addr found = 0;
     for (std::uint64_t i = 0; i < kScanCap; ++i) {
-      const std::uint32_t c = sc.at(i);
+      std::uint32_t c = 0;
+      if (!sc.at(i, &c)) return core::faulted();
       if (c == target) {
         found = s + i * w.bytes;
         if (!reverse) return ok(found);
@@ -179,13 +190,15 @@ core::ApiImpl strchr_fn(CharWidth w, bool reverse) {
 }
 
 core::ApiImpl strspn_fn(CharWidth w, bool complement) {
-  return [w, complement](CallContext& ctx) {
+  return [w, complement](CallContext& ctx) -> CallOutcome {
     const Addr s = ctx.arg_addr(0), accept = ctx.arg_addr(1);
-    const std::string set = c_str_host(ctx, accept, w);
+    std::string set;
+    if (!c_str_host(ctx, accept, w, &set)) return core::faulted();
     CharScanner sc(ctx, s, w);
     std::uint64_t i = 0;
     for (; i < kScanCap; ++i) {
-      const std::uint32_t c = sc.at(i);
+      std::uint32_t c = 0;
+      if (!sc.at(i, &c)) return core::faulted();
       if (c == 0) break;
       const bool in_set =
           set.find(static_cast<char>(c & 0xff)) != std::string::npos;
@@ -196,12 +209,14 @@ core::ApiImpl strspn_fn(CharWidth w, bool complement) {
 }
 
 core::ApiImpl strpbrk_fn(CharWidth w) {
-  return [w](CallContext& ctx) {
+  return [w](CallContext& ctx) -> CallOutcome {
     const Addr s = ctx.arg_addr(0), set_addr = ctx.arg_addr(1);
-    const std::string set = c_str_host(ctx, set_addr, w);
+    std::string set;
+    if (!c_str_host(ctx, set_addr, w, &set)) return core::faulted();
     CharScanner sc(ctx, s, w);
     for (std::uint64_t i = 0; i < kScanCap; ++i) {
-      const std::uint32_t c = sc.at(i);
+      std::uint32_t c = 0;
+      if (!sc.at(i, &c)) return core::faulted();
       if (c == 0) break;
       if (set.find(static_cast<char>(c & 0xff)) != std::string::npos)
         return ok(s + i * w.bytes);
@@ -211,10 +226,11 @@ core::ApiImpl strpbrk_fn(CharWidth w) {
 }
 
 core::ApiImpl strstr_fn(CharWidth w) {
-  return [w](CallContext& ctx) {
+  return [w](CallContext& ctx) -> CallOutcome {
     const Addr hay = ctx.arg_addr(0), needle = ctx.arg_addr(1);
-    const std::string h = c_str_host(ctx, hay, w);
-    const std::string n = c_str_host(ctx, needle, w);
+    std::string h, n;
+    if (!c_str_host(ctx, hay, w, &h) || !c_str_host(ctx, needle, w, &n))
+      return core::faulted();
     if (n.empty()) return ok(hay);
     const auto pos = h.find(n);
     return ok(pos == std::string::npos ? 0 : hay + pos * w.bytes);
@@ -222,31 +238,34 @@ core::ApiImpl strstr_fn(CharWidth w) {
 }
 
 core::ApiImpl strtok_fn(CharWidth w) {
-  return [w](CallContext& ctx) {
+  return [w](CallContext& ctx) -> CallOutcome {
     CrtState& st = crt_state(ctx.proc());
     Addr s = ctx.arg_addr(0);
     const Addr delim = ctx.arg_addr(1);
     if (s == 0) s = st.strtok_next;  // continue previous scan (0 => deref 0)
-    const std::string set = c_str_host(ctx, delim, w);
+    std::string set;
+    if (!c_str_host(ctx, delim, w, &set)) return core::faulted();
     // The single put below is the last access, so buffered reads stay fresh.
     CharScanner sc(ctx, s, w);
     std::uint64_t i = 0;
     // skip leading delimiters
     while (i < kScanCap) {
-      const std::uint32_t c = sc.at(i);
+      std::uint32_t c = 0;
+      if (!sc.at(i, &c)) return core::faulted();
       if (c == 0) return ok(0);
       if (set.find(static_cast<char>(c & 0xff)) == std::string::npos) break;
       ++i;
     }
     const std::uint64_t start = i;
     while (i < kScanCap) {
-      const std::uint32_t c = sc.at(i);
+      std::uint32_t c = 0;
+      if (!sc.at(i, &c)) return core::faulted();
       if (c == 0) {
         st.strtok_next = s + i * w.bytes;
         return ok(s + start * w.bytes);
       }
       if (set.find(static_cast<char>(c & 0xff)) != std::string::npos) {
-        w.put(ctx, s, i, 0);
+        if (!w.put(ctx, s, i, 0)) return core::faulted();
         st.strtok_next = s + (i + 1) * w.bytes;
         return ok(s + start * w.bytes);
       }
@@ -278,9 +297,10 @@ long long parse_int(const std::string& s, int base, bool* any) {
 }
 
 core::ApiImpl atoi_fn(CharWidth w) {
-  return [w](CallContext& ctx) {
+  return [w](CallContext& ctx) -> CallOutcome {
     bool any = false;
-    const std::string s = c_str_host(ctx, ctx.arg_addr(0), w);
+    std::string s;
+    if (!c_str_host(ctx, ctx.arg_addr(0), w, &s)) return core::faulted();
     return ok(static_cast<std::uint64_t>(parse_int(s, 10, &any)));
   };
 }
@@ -294,12 +314,12 @@ core::ApiImpl strtol_fn(CharWidth w) {
       return core::error_reported(0);
     }
     bool any = false;
-    const std::string s = c_str_host(ctx, nptr, w);
+    std::string s;
+    if (!c_str_host(ctx, nptr, w, &s)) return core::faulted();
     const long long v = parse_int(s, base == 0 ? 10 : base, &any);
-    if (endptr != 0) {
-      ctx.proc().mem().write_u32(endptr, static_cast<std::uint32_t>(nptr),
-                                 sim::Access::kUser);
-    }
+    if (endptr != 0 &&
+        !ctx.user_write_u32(endptr, static_cast<std::uint32_t>(nptr)))
+      return core::faulted();
     return ok(static_cast<std::uint64_t>(v));
   };
 }
@@ -307,17 +327,17 @@ core::ApiImpl strtol_fn(CharWidth w) {
 core::ApiImpl strtod_fn(CharWidth w) {
   return [w](CallContext& ctx) -> CallOutcome {
     const Addr nptr = ctx.arg_addr(0), endptr = ctx.arg_addr(1);
-    const std::string s = c_str_host(ctx, nptr, w);
+    std::string s;
+    if (!c_str_host(ctx, nptr, w, &s)) return core::faulted();
     // std::stod's rule without its exceptions: 0 when nothing converts or
     // the value is out of range.
     char* end = nullptr;
     errno = 0;
     double v = std::strtod(s.c_str(), &end);
     if (end == s.c_str() || errno == ERANGE) v = 0;
-    if (endptr != 0) {
-      ctx.proc().mem().write_u32(endptr, static_cast<std::uint32_t>(nptr),
-                                 sim::Access::kUser);
-    }
+    if (endptr != 0 &&
+        !ctx.user_write_u32(endptr, static_cast<std::uint32_t>(nptr)))
+      return core::faulted();
     return ok(std::bit_cast<std::uint64_t>(v));
   };
 }

@@ -7,6 +7,7 @@
 #include <bit>
 #include <cerrno>
 #include <cstdio>
+#include <initializer_list>
 #include <string>
 
 #include "clib/crt.h"
@@ -26,14 +27,16 @@ enum TmField {
   kTmSec, kTmMin, kTmHour, kTmMday, kTmMon, kTmYear, kTmWday, kTmYday, kTmIsdst
 };
 
-std::int32_t tm_read(CallContext& ctx, Addr tm, int field) {
-  return static_cast<std::int32_t>(
-      ctx.proc().mem().read_u32(tm + 4 * field, sim::Access::kUser));
-}
-
-void tm_write(CallContext& ctx, Addr tm, int field, std::int32_t v) {
-  ctx.proc().mem().write_u32(tm + 4 * field, static_cast<std::uint32_t>(v),
-                             sim::Access::kUser);
+/// Reads the listed tm fields in order into out[field]; false at the first
+/// field whose read faults.
+bool tm_read(CallContext& ctx, Addr tm, std::initializer_list<TmField> fields,
+             std::int32_t out[9]) {
+  for (const TmField field : fields) {
+    std::uint32_t v = 0;
+    if (!ctx.user_read_u32(tm + 4 * field, &v)) return false;
+    out[field] = static_cast<std::int32_t>(v);
+  }
+  return true;
 }
 
 std::uint64_t sim_now(CallContext& ctx) {
@@ -81,10 +84,9 @@ CallOutcome do_time(CallContext& ctx) {
       // EFAULT on a bad pointer.
       const MemStatus s = ctx.k_write_u32(out, static_cast<std::uint32_t>(now));
       if (s != MemStatus::kOk) return ctx.posix_mem_fail(s);
-    } else {
+    } else if (!ctx.user_write_u32(out, static_cast<std::uint32_t>(now))) {
       // The Windows CRT converts GetSystemTime in user mode.
-      ctx.proc().mem().write_u32(out, static_cast<std::uint32_t>(now),
-                                 sim::Access::kUser);
+      return core::faulted();
     }
   }
   return ok(now);
@@ -98,27 +100,38 @@ CallOutcome do_difftime(CallContext& ctx) {
   return ok(std::bit_cast<std::uint64_t>(d));
 }
 
-CallOutcome tm_from_time_ptr(CallContext& ctx) {
-  const Addr tp = ctx.arg_addr(0);
-  const std::uint32_t t = ctx.proc().mem().read_u32(tp, sim::Access::kUser);
+/// gmtime/localtime's core: breaks the time_t at `tp` into the CRT's static
+/// tm buffer and stores that buffer's address in `*tm`.  False on a fault.
+bool time_ptr_to_static_tm(CallContext& ctx, Addr tp, Addr* tm) {
+  std::uint32_t t = 0;
+  if (!ctx.user_read_u32(tp, &t)) return false;
   std::int32_t f[9];
   epoch_to_tm(t, f);
-  CrtState& st = crt_state(ctx.proc());
-  for (int i = 0; i < 9; ++i) tm_write(ctx, st.static_tm, i, f[i]);
-  return ok(st.static_tm);
+  *tm = crt_state(ctx.proc()).static_tm;
+  for (int i = 0; i < 9; ++i)
+    if (!ctx.user_write_u32(*tm + 4 * i, static_cast<std::uint32_t>(f[i])))
+      return false;
+  return true;
+}
+
+CallOutcome tm_from_time_ptr(CallContext& ctx) {
+  Addr tm = 0;
+  if (!time_ptr_to_static_tm(ctx, ctx.arg_addr(0), &tm)) return core::faulted();
+  return ok(tm);
 }
 
 /// Formats a tm into the static 26-char buffer.  glibc indexes its name
 /// tables directly (out-of-range wday/mon fault via a simulated table read);
 /// MSVC validates first.
 CallOutcome asctime_core(CallContext& ctx, Addr tm) {
-  const std::int32_t sec = tm_read(ctx, tm, kTmSec);
-  const std::int32_t min = tm_read(ctx, tm, kTmMin);
-  const std::int32_t hour = tm_read(ctx, tm, kTmHour);
-  const std::int32_t mday = tm_read(ctx, tm, kTmMday);
-  const std::int32_t mon = tm_read(ctx, tm, kTmMon);
-  const std::int32_t year = tm_read(ctx, tm, kTmYear);
-  const std::int32_t wday = tm_read(ctx, tm, kTmWday);
+  std::int32_t f[9] = {};
+  if (!tm_read(ctx, tm,
+               {kTmSec, kTmMin, kTmHour, kTmMday, kTmMon, kTmYear, kTmWday},
+               f))
+    return core::faulted();
+  const std::int32_t sec = f[kTmSec], min = f[kTmMin], hour = f[kTmHour],
+                     mday = f[kTmMday], mon = f[kTmMon], year = f[kTmYear],
+                     wday = f[kTmWday];
   CrtState& st = crt_state(ctx.proc());
 
   const char* mon_name = "???";
@@ -127,12 +140,12 @@ CallOutcome asctime_core(CallContext& ctx, Addr tm) {
     // Raw table lookup: model by touching the simulated ctype page at the
     // offset the index would reach — out-of-range indexes fault like walking
     // off __tzname-adjacent tables.
-    (void)ctx.proc().mem().read_u8(
-        st.ctype_table + static_cast<std::int64_t>(wday) * 4,
-        sim::Access::kUser);
-    (void)ctx.proc().mem().read_u8(
-        st.ctype_table + static_cast<std::int64_t>(mon) * 4,
-        sim::Access::kUser);
+    std::uint8_t touched = 0;
+    if (!ctx.user_read_u8(st.ctype_table + static_cast<std::int64_t>(wday) * 4,
+                          &touched) ||
+        !ctx.user_read_u8(st.ctype_table + static_cast<std::int64_t>(mon) * 4,
+                          &touched))
+      return core::faulted();
     if (wday >= 0 && wday < 7) day_name = kDays[wday];
     if (mon >= 0 && mon < 12) mon_name = kMonths[mon];
   } else {
@@ -147,7 +160,7 @@ CallOutcome asctime_core(CallContext& ctx, Addr tm) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%s %s %2d %02d:%02d:%02d %d\n", day_name,
                 mon_name, mday, hour, min, sec, 1900 + year);
-  ctx.proc().mem().write_cstr(st.static_str, buf, sim::Access::kUser);
+  if (!ctx.user_write_cstr(st.static_str, buf)) return core::faulted();
   return ok(st.static_str);
 }
 
@@ -156,30 +169,27 @@ CallOutcome do_asctime(CallContext& ctx) {
 }
 
 CallOutcome do_ctime(CallContext& ctx) {
-  const Addr tp = ctx.arg_addr(0);
-  const std::uint32_t t = ctx.proc().mem().read_u32(tp, sim::Access::kUser);
-  std::int32_t f[9];
-  epoch_to_tm(t, f);
-  CrtState& st = crt_state(ctx.proc());
-  for (int i = 0; i < 9; ++i) tm_write(ctx, st.static_tm, i, f[i]);
-  return asctime_core(ctx, st.static_tm);
+  Addr tm = 0;
+  if (!time_ptr_to_static_tm(ctx, ctx.arg_addr(0), &tm)) return core::faulted();
+  return asctime_core(ctx, tm);
 }
 
 CallOutcome do_mktime(CallContext& ctx) {
   const Addr tm = ctx.arg_addr(0);
-  const std::int64_t year = tm_read(ctx, tm, kTmYear);
-  const std::int64_t mon = tm_read(ctx, tm, kTmMon);
-  const std::int64_t mday = tm_read(ctx, tm, kTmMday);
+  std::int32_t f[9] = {};
+  if (!tm_read(ctx, tm, {kTmYear, kTmMon, kTmMday}, f)) return core::faulted();
+  const std::int64_t year = f[kTmYear], mon = f[kTmMon], mday = f[kTmMday];
   if (year < 70 || year > 200 || mon < -12 || mon > 24 || mday < -31 ||
       mday > 62) {
     ctx.proc().set_errno(EINVAL);  // out of representable range
     return core::error_reported(static_cast<std::uint64_t>(-1));
   }
+  if (!tm_read(ctx, tm, {kTmHour, kTmMin, kTmSec}, f)) return core::faulted();
   const std::int64_t days =
       (year - 70) * 365 + (year - 69) / 4 + mon * 30 + (mday - 1);
-  const std::int64_t secs = days * 86400 + tm_read(ctx, tm, kTmHour) * 3600 +
-                            tm_read(ctx, tm, kTmMin) * 60 +
-                            tm_read(ctx, tm, kTmSec);
+  const std::int64_t secs = days * 86400 +
+                            std::int64_t{f[kTmHour]} * 3600 +
+                            std::int64_t{f[kTmMin]} * 60 + f[kTmSec];
   return ok(static_cast<std::uint64_t>(secs));
 }
 
@@ -188,24 +198,27 @@ CallOutcome do_strftime(CallContext& ctx) {
   const std::uint64_t maxsize = ctx.arg(1);
   const Addr fmt = ctx.arg_addr(2);
   const Addr tm = ctx.arg_addr(3);
-  auto& mem = ctx.proc().mem();
 
-  const std::int32_t hour = tm_read(ctx, tm, kTmHour);
-  const std::int32_t min = tm_read(ctx, tm, kTmMin);
-  const std::int32_t mon = tm_read(ctx, tm, kTmMon);
-  const std::int32_t year = tm_read(ctx, tm, kTmYear);
-  const std::int32_t mday = tm_read(ctx, tm, kTmMday);
+  std::int32_t f[9] = {};
+  if (!tm_read(ctx, tm, {kTmHour, kTmMin, kTmMon, kTmYear, kTmMday}, f))
+    return core::faulted();
+  const std::int32_t hour = f[kTmHour], min = f[kTmMin], mon = f[kTmMon],
+                     year = f[kTmYear], mday = f[kTmMday];
 
   std::string out;
   CharScanner chars(ctx, fmt, kNarrow);
   for (std::uint64_t i = 0; i < 4096; ++i) {
-    const auto c = static_cast<std::uint8_t>(chars.at(i));
+    std::uint32_t c = 0;
+    if (!chars.at(i, &c)) return core::faulted();
+    c &= 0xff;
     if (c == 0) break;
     if (c != '%') {
       out.push_back(static_cast<char>(c));
       continue;
     }
-    const auto conv = static_cast<std::uint8_t>(chars.at(++i));
+    std::uint32_t conv = 0;
+    if (!chars.at(++i, &conv)) return core::faulted();
+    conv &= 0xff;
     char tmp[32];
     switch (conv) {
       case 'Y': std::snprintf(tmp, sizeof tmp, "%d", 1900 + year); break;
@@ -220,7 +233,7 @@ CallOutcome do_strftime(CallContext& ctx) {
     out += tmp;
   }
   if (out.size() + 1 > maxsize) return ok(0);  // didn't fit: returns 0
-  mem.write_cstr(buf, out, sim::Access::kUser);
+  if (!ctx.user_write_cstr(buf, out)) return core::faulted();
   return ok(out.size());
 }
 

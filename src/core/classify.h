@@ -26,8 +26,8 @@ enum class CallStatus : std::uint8_t {
   kSilentSuccess,  // returned success while knowingly doing nothing
                    // (the Win9x loose-stub path)
   kWrongError,     // failure return with a misleading error code (Hindering)
-  kFaulted,        // a kernel helper faulted in the task: the call never
-                   // returned (Abort; the fault is pending in the CallContext)
+  kFaulted,        // an access faulted in the task: the call never returned
+                   // (Abort; the fault is pending in the CallContext)
 };
 
 struct CallOutcome {
@@ -48,5 +48,7 @@ inline CallOutcome silent_success(std::uint64_t ret) {
 inline CallOutcome wrong_error(std::uint64_t ret) {
   return {CallStatus::kWrongError, ret};
 }
+/// What a body returns once an access has recorded a pending fault.
+inline CallOutcome faulted() { return {CallStatus::kFaulted, 0}; }
 
 }  // namespace ballista::core

@@ -46,8 +46,9 @@ MemStatus CallContext::hazard_write(sim::Addr a,
     // The write lands in the machine-shared arena: it "succeeds" from the
     // caller's point of view while corrupting system structures.  Immediate-
     // style hazards die on the spot (panic throws); deferred-style arm the
-    // fuse and let this call return success.
-    mem.write_bytes(a, in, sim::Access::kKernel);
+    // fuse and let this call return success.  A transfer that runs off the
+    // arena into an unmapped page faults there instead.
+    if (kernel_write(a, in) == MemStatus::kFault) return MemStatus::kFault;
     machine_.trace().emit(trace::hazard_write_event(
         a, static_cast<std::uint32_t>(in.size()), /*staging=*/false));
     machine_.note_arena_corruption(a, hazard_ == CrashStyle::kImmediate);
@@ -68,8 +69,9 @@ MemStatus CallContext::hazard_write(sim::Addr a,
     corrupt_staging_area();
     return MemStatus::kOk;
   }
-  mem.write_bytes(a, in, sim::Access::kKernel);
-  return MemStatus::kOk;
+  // The kernel probe counts a demand-created arena page as present, so a
+  // range that starts there can still fault past its end.
+  return kernel_write(a, in);
 }
 
 void CallContext::corrupt_staging_area() {
@@ -88,10 +90,8 @@ void CallContext::corrupt_staging_area() {
 MemStatus CallContext::hazard_read(sim::Addr a, std::span<std::uint8_t> out) {
   auto& mem = proc_.mem();
   a = slotize(a);
-  if (mem.arena() != nullptr && mem.arena()->contains(a)) {
-    mem.read_bytes(a, out, sim::Access::kKernel);
-    return MemStatus::kOk;
-  }
+  if (mem.arena() != nullptr && mem.arena()->contains(a))
+    return kernel_read(a, out);
   if (hazard_ == CrashStyle::kImmediate) {
     sim::Fault f;
     if (!mem.try_read_bytes(a, out, sim::Access::kKernel, &f))
@@ -105,46 +105,117 @@ MemStatus CallContext::hazard_read(sim::Addr a, std::span<std::uint8_t> out) {
     std::fill(out.begin(), out.end(), std::uint8_t{0});
     return MemStatus::kOk;
   }
-  mem.read_bytes(a, out, sim::Access::kKernel);
-  return MemStatus::kOk;
+  return kernel_read(a, out);
 }
 
-MemStatus CallContext::faulted(const sim::Fault& f) {
-  if (!fault_) fault_ = f;
+MemStatus CallContext::kernel_read(sim::Addr a, std::span<std::uint8_t> out) {
+  sim::Fault f;
+  if (proc_.mem().try_read_bytes(a, out, sim::Access::kKernel, &f))
+    return MemStatus::kOk;
+  fail(f);
   return MemStatus::kFault;
 }
 
-void CallContext::raise_pending_fault() const { throw sim::SimFault(*fault_); }
+MemStatus CallContext::kernel_write(sim::Addr a,
+                                    std::span<const std::uint8_t> in) {
+  sim::Fault f;
+  if (proc_.mem().try_write_bytes(a, in, sim::Access::kKernel, &f))
+    return MemStatus::kOk;
+  fail(f);
+  return MemStatus::kFault;
+}
+
+bool CallContext::fail(const sim::Fault& f) {
+  if (!fault_) fault_ = f;
+  return false;
+}
+
+CallOutcome CallContext::deliver_fault(const sim::Fault& f) {
+  fail(f);
+  return faulted();
+}
+
+bool CallContext::user_read(sim::Addr a, std::span<std::uint8_t> out) {
+  sim::Fault f;
+  return proc_.mem().try_read_bytes(a, out, sim::Access::kUser, &f) || fail(f);
+}
+
+bool CallContext::user_write(sim::Addr a, std::span<const std::uint8_t> in) {
+  sim::Fault f;
+  return proc_.mem().try_write_bytes(a, in, sim::Access::kUser, &f) || fail(f);
+}
+
+bool CallContext::user_write_cstr(sim::Addr a, std::string_view s) {
+  return user_write(a, {reinterpret_cast<const std::uint8_t*>(s.data()),
+                        s.size()}) &&
+         user_write_u8(a + s.size(), 0);
+}
+
+bool CallContext::user_read_u8(sim::Addr a, std::uint8_t* v) {
+  sim::Fault f;
+  return proc_.mem().try_read_u8(a, v, sim::Access::kUser, &f) || fail(f);
+}
+
+bool CallContext::user_read_u16(sim::Addr a, std::uint16_t* v) {
+  sim::Fault f;
+  return proc_.mem().try_read_u16(a, v, sim::Access::kUser, &f) || fail(f);
+}
+
+bool CallContext::user_read_u32(sim::Addr a, std::uint32_t* v) {
+  sim::Fault f;
+  return proc_.mem().try_read_u32(a, v, sim::Access::kUser, &f) || fail(f);
+}
+
+bool CallContext::user_read_u64(sim::Addr a, std::uint64_t* v) {
+  sim::Fault f;
+  return proc_.mem().try_read_u64(a, v, sim::Access::kUser, &f) || fail(f);
+}
+
+bool CallContext::user_write_u8(sim::Addr a, std::uint8_t v) {
+  sim::Fault f;
+  return proc_.mem().try_write_u8(a, v, sim::Access::kUser, &f) || fail(f);
+}
+
+bool CallContext::user_write_u16(sim::Addr a, std::uint16_t v) {
+  sim::Fault f;
+  return proc_.mem().try_write_u16(a, v, sim::Access::kUser, &f) || fail(f);
+}
+
+bool CallContext::user_write_u32(sim::Addr a, std::uint32_t v) {
+  sim::Fault f;
+  return proc_.mem().try_write_u32(a, v, sim::Access::kUser, &f) || fail(f);
+}
+
+bool CallContext::user_write_u64(sim::Addr a, std::uint64_t v) {
+  sim::Fault f;
+  return proc_.mem().try_write_u64(a, v, sim::Access::kUser, &f) || fail(f);
+}
 
 MemStatus CallContext::read_user(sim::Addr a, std::span<std::uint8_t> out) {
-  sim::Fault f;
-  return proc_.mem().try_read_bytes(a, out, sim::Access::kUser, &f)
-             ? MemStatus::kOk
-             : faulted(f);
+  return user_read(a, out) ? MemStatus::kOk : MemStatus::kFault;
 }
 
 MemStatus CallContext::write_user(sim::Addr a,
                                   std::span<const std::uint8_t> in) {
-  sim::Fault f;
-  return proc_.mem().try_write_bytes(a, in, sim::Access::kUser, &f)
-             ? MemStatus::kOk
-             : faulted(f);
+  return user_write(a, in) ? MemStatus::kOk : MemStatus::kFault;
 }
 
 MemStatus CallContext::read_user_str(sim::Addr a, std::string* out,
                                      std::size_t max_len) {
   sim::Fault f;
-  return proc_.mem().try_read_cstr(a, max_len, sim::Access::kUser, out, &f)
-             ? MemStatus::kOk
-             : faulted(f);
+  if (proc_.mem().try_read_cstr(a, max_len, sim::Access::kUser, out, &f))
+    return MemStatus::kOk;
+  fail(f);
+  return MemStatus::kFault;
 }
 
 MemStatus CallContext::read_user_str(sim::Addr a, std::u16string* out,
                                      std::size_t max_len) {
   sim::Fault f;
-  return proc_.mem().try_read_wstr(a, max_len, sim::Access::kUser, out, &f)
-             ? MemStatus::kOk
-             : faulted(f);
+  if (proc_.mem().try_read_wstr(a, max_len, sim::Access::kUser, out, &f))
+    return MemStatus::kOk;
+  fail(f);
+  return MemStatus::kFault;
 }
 
 MemStatus CallContext::k_write(sim::Addr a, std::span<const std::uint8_t> in) {
@@ -363,20 +434,20 @@ CallOutcome CallContext::posix_fail(int code) {
 }
 
 CallOutcome CallContext::win_mem_fail(MemStatus s, std::uint64_t fail_ret) {
-  if (s == MemStatus::kFault) return {CallStatus::kFaulted, 0};
+  if (s == MemStatus::kFault) return faulted();
   if (s == MemStatus::kSilent) return silent_success(1);
   return win_fail(kErrorNoaccess, fail_ret);
 }
 
 CallOutcome CallContext::posix_mem_fail(MemStatus s) {
-  if (s == MemStatus::kFault) return {CallStatus::kFaulted, 0};
+  if (s == MemStatus::kFault) return faulted();
   if (s == MemStatus::kSilent) return silent_success(0);
   return posix_fail(EFAULT);
 }
 
 CallOutcome ApiImpl::operator()(CallContext& ctx) const {
   const CallOutcome out = body_(ctx);
-  if (ctx.pending_fault()) ctx.raise_pending_fault();
+  if (ctx.pending_fault()) throw sim::SimFault(*ctx.pending_fault());
   return out;
 }
 

@@ -6,26 +6,28 @@
 // EFAULT error return (Linux), an exception raised into the task (NT/2000,
 // counted as Abort), a silent no-op (Win9x loose stubs), or a kernel-side
 // catastrophe (Win9x/CE hazard paths) is decided here from the Machine's
-// personality and the MuT's hazard entry.
+// personality and the MuT's hazard entry.  The user_* accessors are what
+// user-mode code — the C runtimes, the glibc wrappers, the Win32 user-mode
+// stubs — uses to dereference task pointers with no validation at all.
 //
-// The exception raised into the task is a value, not a C++ throw: the helper
-// records the sim::Fault in the context and returns MemStatus::kFault, the
-// body returns at once through win_mem_fail/posix_mem_fail (CallStatus::
-// kFaulted), and Executor::run_case, which calls the body through
-// ApiImpl::run, classifies the pending fault as Abort exactly as it
-// classifies a thrown sim::SimFault.  Everywhere else — tests, tools and the
-// benchmark's copy of run_case, which call `mut.impl(ctx)` — the ApiImpl
-// call operator delivers the pending fault as sim::SimFault from that one
-// frame, so those callers see the same Abort they always saw.  That adapter
-// stays for as long as the benchmark keeps its own copy of the executor loop
-// (ROADMAP: instrument the real executor); faults taken by user-mode CRT
-// code through the throwing AddressSpace accessors still throw everywhere.
+// A fault taken in the task is a value, not a C++ throw: the accessor
+// records the sim::Fault in the context and returns MemStatus::kFault (the
+// k_ helpers) or false (the user_ accessors), the body returns at once
+// (win_mem_fail/posix_mem_fail or core::faulted(): CallStatus::kFaulted),
+// and Executor::run_case, which calls the body through ApiImpl::run,
+// classifies the pending fault as Abort.  Tests, tools and the benchmark's
+// copy of run_case call `mut.impl(ctx)` instead; the ApiImpl call operator
+// delivers the pending fault as sim::SimFault from that one frame, so those
+// callers see the same Abort they always saw.  That adapter stays for as
+// long as the benchmark keeps its own copy of the executor loop (ROADMAP:
+// instrument the real executor).
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 
 #include "core/registry.h"
 #include "sim/machine.h"
@@ -91,15 +93,36 @@ class CallContext {
   [[nodiscard]] MemStatus k_read_u32(sim::Addr a, std::uint32_t* v);
   [[nodiscard]] MemStatus k_read_u64(sim::Addr a, std::uint64_t* v);
 
-  /// The fault a helper returned as MemStatus::kFault, if any.
+  // --- task-mode access (user-mode library code) -----------------------------
+  //
+  // Plain user-mode dereferences with no validation layer: the access faults
+  // exactly where the task's own load or store would.  On a fault each
+  // records it as the pending fault (the first one stays) and returns false;
+  // the caller returns core::faulted() at once.  The fault event, partial
+  // transfer and kPageWrite points are those of the AddressSpace walk.
+
+  [[nodiscard]] bool user_read(sim::Addr a, std::span<std::uint8_t> out);
+  [[nodiscard]] bool user_write(sim::Addr a, std::span<const std::uint8_t> in);
+  /// The bytes of `s`, then its NUL terminator (two stores, as the CRTs do).
+  [[nodiscard]] bool user_write_cstr(sim::Addr a, std::string_view s);
+  [[nodiscard]] bool user_read_u8(sim::Addr a, std::uint8_t* v);
+  [[nodiscard]] bool user_read_u16(sim::Addr a, std::uint16_t* v);
+  [[nodiscard]] bool user_read_u32(sim::Addr a, std::uint32_t* v);
+  [[nodiscard]] bool user_read_u64(sim::Addr a, std::uint64_t* v);
+  [[nodiscard]] bool user_write_u8(sim::Addr a, std::uint8_t v);
+  [[nodiscard]] bool user_write_u16(sim::Addr a, std::uint16_t v);
+  [[nodiscard]] bool user_write_u32(sim::Addr a, std::uint32_t v);
+  [[nodiscard]] bool user_write_u64(sim::Addr a, std::uint64_t v);
+
+  /// Terminates the task with `f` as if one of its accesses had taken it (a
+  /// fatal signal the task sends itself): records it as the pending fault
+  /// and returns core::faulted().  No fault event is emitted.
+  CallOutcome deliver_fault(const sim::Fault& f);
+
+  /// The fault a helper or accessor took in the task, if any.
   const std::optional<sim::Fault>& pending_fault() const noexcept {
     return fault_;
   }
-  /// Delivers the pending fault as sim::SimFault.  For code that cannot
-  /// return a CallOutcome (the Windows CE CRT-in-kernel accessors, the
-  /// C-library stream staging helpers); a body that can returns
-  /// win/posix_mem_fail instead.
-  [[noreturn]] void raise_pending_fault() const;
 
   // --- error-code plumbing ---------------------------------------------------
 
@@ -124,6 +147,10 @@ class CallContext {
   /// Hazardous unprobed kernel write: may corrupt the arena or panic.
   MemStatus hazard_write(sim::Addr a, std::span<const std::uint8_t> in);
   MemStatus hazard_read(sim::Addr a, std::span<std::uint8_t> out);
+  /// The hazard paths' plain kernel-mode transfers: a transfer that runs off
+  /// a mapped range faults in the task (pending fault, kFault).
+  MemStatus kernel_read(sim::Addr a, std::span<std::uint8_t> out);
+  MemStatus kernel_write(sim::Addr a, std::span<const std::uint8_t> in);
   /// Deferred-hazard staging-buffer overrun into the shared arena.
   void corrupt_staging_area();
   /// Task-mode dereferences (the NT probe-and-raise path and the Win9x
@@ -133,8 +160,9 @@ class CallContext {
   MemStatus read_user_str(sim::Addr a, std::string* out, std::size_t max_len);
   MemStatus read_user_str(sim::Addr a, std::u16string* out,
                           std::size_t max_len);
-  /// Makes `f` the pending fault (the first one stays) and returns kFault.
-  MemStatus faulted(const sim::Fault& f);
+  /// Makes `f` the pending fault (the first one stays) and returns false,
+  /// so an accessor can end in `return try_...(...) || fail(f);`.
+  bool fail(const sim::Fault& f);
 
   sim::Machine& machine_;
   sim::SimProcess& proc_;

@@ -33,6 +33,38 @@ std::vector<trace::TraceEvent> causal_window(std::vector<trace::TraceEvent> tail
   return tail;
 }
 
+/// Keeps the mutation window open for the MuT dispatch and closes it however
+/// the dispatch ends.
+class MutationWindow {
+ public:
+  explicit MutationWindow(sim::MutationHub& hub) : hub_(hub) {
+    hub_.open_window();
+  }
+  ~MutationWindow() { hub_.close_window(); }
+  MutationWindow(const MutationWindow&) = delete;
+  MutationWindow& operator=(const MutationWindow&) = delete;
+
+ private:
+  sim::MutationHub& hub_;
+};
+
+/// A task leased from the machine's pool, returned to it on every exit path.
+class ProcessLease {
+ public:
+  explicit ProcessLease(sim::Machine& machine)
+      : machine_(machine), proc_(machine.acquire_process()) {}
+  ~ProcessLease() { machine_.release_process(std::move(proc_)); }
+  ProcessLease(const ProcessLease&) = delete;
+  ProcessLease& operator=(const ProcessLease&) = delete;
+
+  sim::SimProcess& operator*() const noexcept { return *proc_; }
+  sim::SimProcess* operator->() const noexcept { return proc_.get(); }
+
+ private:
+  sim::Machine& machine_;
+  std::unique_ptr<sim::SimProcess> proc_;
+};
+
 /// A fault in the task, however it was delivered: pending in the context or
 /// thrown as sim::SimFault.
 void classify_fault(const sim::Fault& f, CaseResult& result) {
@@ -64,7 +96,7 @@ CaseResult Executor::run_case(const MuT& mut,
   // rebuilding a second time).
   machine_.restore(sim::RestoreLevel::kCaseReset);
 
-  auto proc = machine_.acquire_process();
+  const ProcessLease proc(machine_);
   if (task_setup_) task_setup_(*proc);
   ValueCtx vctx{machine_, *proc};
 
@@ -77,42 +109,41 @@ CaseResult Executor::run_case(const MuT& mut,
   proc->set_errno(0);
 
   CallContext ctx(machine_, *proc, mut, args);
-  // Mutation points exist only while the module under test runs: harness
-  // work (tuple materialization above, process recycling, fixture restores)
-  // must never count as a persistence point.
-  machine_.mutations().open_window();
-  try {
-    machine_.kernel_enter();
-    const CallOutcome out = mut.impl.run(ctx);
-    if (ctx.pending_fault()) {
-      // The call never returned to the task: no syscall_exit event, as when
-      // the fault is thrown.
-      classify_fault(*ctx.pending_fault(), result);
-    } else {
-      sink.emit(trace::syscall_exit_event(out.status, out.ret));
-      result.wrong_error = out.status == CallStatus::kWrongError;
-      result.success_no_error = out.status == CallStatus::kSuccess ||
-                                out.status == CallStatus::kSilentSuccess;
+  {
+    // Mutation points exist only while the module under test runs: harness
+    // work (tuple materialization above, process recycling, fixture
+    // restores) must never count as a persistence point.
+    const MutationWindow window(machine_.mutations());
+    try {
+      machine_.kernel_enter();
+      const CallOutcome out = mut.impl.run(ctx);
+      if (ctx.pending_fault()) {
+        // The call never returned to the task: no syscall_exit event.
+        classify_fault(*ctx.pending_fault(), result);
+      } else {
+        sink.emit(trace::syscall_exit_event(out.status, out.ret));
+        result.wrong_error = out.status == CallStatus::kWrongError;
+        result.success_no_error = out.status == CallStatus::kSuccess ||
+                                  out.status == CallStatus::kSilentSuccess;
+      }
+    } catch (const sim::KernelPanic& p) {
+      result.outcome = Outcome::kCatastrophic;
+      result.panic = p.kind();
+      result.detail = p.what();
+      // The ring ends at the kPanic event: the causal chain behind the crash.
+      result.trace_tail = causal_window(sink.tail(), result.panic);
+    } catch (const sim::TaskHang& h) {
+      result.outcome = Outcome::kRestart;
+      result.detail = h.what();
+    } catch (const sim::SimFault& f) {
+      classify_fault(f.fault(), result);
     }
-  } catch (const sim::KernelPanic& p) {
-    result.outcome = Outcome::kCatastrophic;
-    result.panic = p.kind();
-    result.detail = p.what();
-    // The ring ends at the kPanic event: the causal chain behind the crash.
-    result.trace_tail = causal_window(sink.tail(), result.panic);
-  } catch (const sim::TaskHang& h) {
-    result.outcome = Outcome::kRestart;
-    result.detail = h.what();
-  } catch (const sim::SimFault& f) {
-    classify_fault(f.fault(), result);
   }
-  machine_.mutations().close_window();
   sink.emit(trace::classified_event(result.outcome, result.fault,
                                     result.success_no_error,
                                     result.wrong_error));
   result.events = sink.counters() - before;
   sink.set_case_index(-1);
-  machine_.release_process(std::move(proc));
   return result;
 }
 

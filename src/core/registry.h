@@ -31,8 +31,9 @@ class CallContext;
 ///    reproducible only by running the harness).
 enum class CrashStyle : std::uint8_t { kNone, kImmediate, kDeferred };
 
-/// A MuT body.  A kernel helper that faults in the task records the fault in
-/// the CallContext and the body returns CallStatus::kFaulted (DESIGN.md §2).
+/// A MuT body.  A kernel helper or task-mode accessor that faults in the task
+/// records the fault in the CallContext and the body returns
+/// CallStatus::kFaulted (DESIGN.md §2).
 /// run() leaves that fault pending for its caller (Executor::run_case);
 /// calling the impl like a function delivers it as sim::SimFault from this
 /// one frame, as every other caller (tests, tools, the benchmark's copy of

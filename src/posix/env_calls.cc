@@ -14,28 +14,30 @@ namespace {
 
 using core::ok;
 
+/// Reads the NUL-terminated string at `a` byte by byte in user mode, as
+/// glibc's environ walk does; false on a fault.
+bool read_user_string(CallContext& ctx, Addr a, std::string* out) {
+  for (std::uint64_t i = 0; i < 65536; ++i) {
+    std::uint8_t c = 0;
+    if (!ctx.user_read_u8(a + i, &c)) return false;
+    if (c == 0) break;
+    out->push_back(static_cast<char>(c));
+  }
+  return true;
+}
+
 CallOutcome do_getenv(CallContext& ctx) {
   // glibc walks environ in user space: the name is dereferenced raw.
-  auto& mem = ctx.proc().mem();
   std::string name;
-  for (std::uint64_t i = 0; i < 65536; ++i) {
-    const std::uint8_t c = mem.read_u8(ctx.arg_addr(0) + i, sim::Access::kUser);
-    if (c == 0) break;
-    name.push_back(static_cast<char>(c));
-  }
+  if (!read_user_string(ctx, ctx.arg_addr(0), &name)) return core::faulted();
   auto it = ctx.proc().env().find(name);
   if (it == ctx.proc().env().end()) return ok(0);  // NULL: not found
   return ok(ctx.proc().mem().alloc_cstr(it->second));
 }
 
 CallOutcome do_putenv(CallContext& ctx) {
-  auto& mem = ctx.proc().mem();
   std::string kv;
-  for (std::uint64_t i = 0; i < 65536; ++i) {
-    const std::uint8_t c = mem.read_u8(ctx.arg_addr(0) + i, sim::Access::kUser);
-    if (c == 0) break;
-    kv.push_back(static_cast<char>(c));
-  }
+  if (!read_user_string(ctx, ctx.arg_addr(0), &kv)) return core::faulted();
   const auto eq = kv.find('=');
   if (eq == std::string::npos || eq == 0) return ctx.posix_fail(EINVAL);
   ctx.proc().env()[kv.substr(0, eq)] = kv.substr(eq + 1);

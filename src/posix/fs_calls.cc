@@ -299,23 +299,36 @@ CallOutcome do_readlink(CallContext& ctx) {
 // The directory-stream trio: glibc dereferences the DIR* in user space.
 struct DirRef {
   bool ok = false;
+  bool faulted = false;  // the wrapper's dereference faulted in the task
   sim::DirectoryObject* dir = nullptr;
   Addr d = 0;
+
+  /// What a body returns when !ok.
+  CallOutcome failure(std::uint64_t ret) const {
+    return faulted ? core::faulted() : core::error_reported(ret);
+  }
 };
 
 DirRef resolve_dir(CallContext& ctx, Addr d) {
   DirRef out;
   out.d = d;
-  auto& mem = ctx.proc().mem();
-  const std::uint32_t magic = mem.read_u32(d, sim::Access::kUser);
+  const auto fault = [&out] {
+    out.faulted = true;
+    return out;
+  };
+  std::uint32_t magic = 0;
+  if (!ctx.user_read_u32(d, &magic)) return fault();
   if (magic != kDirMagic) {
     // Chase the embedded fd/cursor like the real wrapper would.
-    const std::uint32_t bogus = mem.read_u32(d + 4, sim::Access::kUser);
-    (void)mem.read_u8(bogus, sim::Access::kUser);
+    std::uint32_t bogus = 0;
+    std::uint8_t touched = 0;
+    if (!ctx.user_read_u32(d + 4, &bogus) || !ctx.user_read_u8(bogus, &touched))
+      return fault();
     ctx.proc().set_errno(EBADF);
     return out;
   }
-  const std::uint32_t h = mem.read_u32(d + 4, sim::Access::kUser);
+  std::uint32_t h = 0;
+  if (!ctx.user_read_u32(d + 4, &h)) return fault();
   auto obj = ctx.proc().handles().get(h);
   if (obj == nullptr || obj->kind() != sim::ObjectKind::kDirectory) {
     ctx.proc().set_errno(EBADF);
@@ -343,7 +356,7 @@ CallOutcome do_opendir(CallContext& ctx) {
 
 CallOutcome do_readdir(CallContext& ctx) {
   const DirRef ref = resolve_dir(ctx, ctx.arg_addr(0));
-  if (!ref.ok) return core::error_reported(0);
+  if (!ref.ok) return ref.failure(0);
   const auto& children = ref.dir->node()->children();
   if (ref.dir->cursor >= children.size()) return ok(0);  // end of stream
   auto it = children.begin();
@@ -357,17 +370,17 @@ CallOutcome do_readdir(CallContext& ctx) {
 
 CallOutcome do_closedir(CallContext& ctx) {
   const DirRef ref = resolve_dir(ctx, ctx.arg_addr(0));
-  if (!ref.ok) return core::error_reported(static_cast<std::uint64_t>(-1));
-  const std::uint32_t h =
-      ctx.proc().mem().read_u32(ref.d + 4, sim::Access::kUser);
+  if (!ref.ok) return ref.failure(static_cast<std::uint64_t>(-1));
+  std::uint32_t h = 0;
+  if (!ctx.user_read_u32(ref.d + 4, &h)) return core::faulted();
   ctx.proc().handles().close(h);
-  ctx.proc().mem().write_u32(ref.d, 0, sim::Access::kUser);
+  if (!ctx.user_write_u32(ref.d, 0)) return core::faulted();
   return ok(0);
 }
 
 CallOutcome do_rewinddir(CallContext& ctx) {
   const DirRef ref = resolve_dir(ctx, ctx.arg_addr(0));
-  if (!ref.ok) return core::error_reported(0);
+  if (!ref.ok) return ref.failure(0);
   ref.dir->cursor = 0;
   return ok(0);
 }

@@ -247,13 +247,6 @@ Page* AddressSpace::try_page(Addr a, Access m, bool write, Fault* f) const {
   return p;
 }
 
-Page* AddressSpace::page_for(Addr a, Access m, bool write) const {
-  Fault f;
-  Page* p = try_page(a, m, write, &f);
-  if (p == nullptr) throw SimFault(f);
-  return p;
-}
-
 Page* AddressSpace::fault(FaultType t, Addr a, bool write, Fault* f) const {
   if (trace_ != nullptr) trace_->emit(trace::fault_event(t, a, write));
   *f = Fault{t, a, write};
@@ -269,22 +262,57 @@ bool AddressSpace::aligned(Addr a, std::uint64_t size, bool write,
   return true;
 }
 
-void AddressSpace::check_alignment(Addr a, std::uint64_t size,
-                                   bool write) const {
-  if (Fault f; !aligned(a, size, write, &f)) throw SimFault(f);
-}
-
 std::uint8_t AddressSpace::read_u8(Addr a, Access m) const {
-  return page_for(a, m, false)->data[a % kPageSize];
+  std::uint8_t v = 0;
+  if (Fault f; !try_read_u8(a, &v, m, &f)) throw SimFault(f);
+  return v;
+}
+std::uint16_t AddressSpace::read_u16(Addr a, Access m) const {
+  std::uint16_t v = 0;
+  if (Fault f; !try_read_u16(a, &v, m, &f)) throw SimFault(f);
+  return v;
+}
+std::uint32_t AddressSpace::read_u32(Addr a, Access m) const {
+  std::uint32_t v = 0;
+  if (Fault f; !try_read_u32(a, &v, m, &f)) throw SimFault(f);
+  return v;
+}
+std::uint64_t AddressSpace::read_u64(Addr a, Access m) const {
+  std::uint64_t v = 0;
+  if (Fault f; !try_read_u64(a, &v, m, &f)) throw SimFault(f);
+  return v;
+}
+void AddressSpace::write_u8(Addr a, std::uint8_t v, Access m) {
+  if (Fault f; !try_write_u8(a, v, m, &f)) throw SimFault(f);
+}
+void AddressSpace::write_u16(Addr a, std::uint16_t v, Access m) {
+  if (Fault f; !try_write_u16(a, v, m, &f)) throw SimFault(f);
+}
+void AddressSpace::write_u32(Addr a, std::uint32_t v, Access m) {
+  if (Fault f; !try_write_u32(a, v, m, &f)) throw SimFault(f);
+}
+void AddressSpace::write_u64(Addr a, std::uint64_t v, Access m) {
+  if (Fault f; !try_write_u64(a, v, m, &f)) throw SimFault(f);
 }
 
-void AddressSpace::write_u8(Addr a, std::uint8_t v, Access m) {
-  Page* p = page_for(a, m, true);
+bool AddressSpace::try_read_u8(Addr a, std::uint8_t* out, Access m,
+                               Fault* fault) const {
+  const Page* p = try_page(a, m, false, fault);
+  if (p == nullptr) return false;
+  *out = p->data[a % kPageSize];
+  return true;
+}
+
+bool AddressSpace::try_write_u8(Addr a, std::uint8_t v, Access m,
+                                Fault* fault) {
+  Page* p = try_page(a, m, true, fault);
+  if (p == nullptr) return false;
   // Announce after the access check (a faulting store mutates nothing) and
   // before applying, so an armed cut leaves this very byte unwritten.
   if (hub_ != nullptr) hub_->notify(MutationKind::kPageWrite, page_of(a));
   p->dirty = true;
   p->data[a % kPageSize] = v;
+  return true;
 }
 
 // Multi-byte accessors and bulk transfers walk page-granular segments: one
@@ -293,50 +321,48 @@ void AddressSpace::write_u8(Addr a, std::uint8_t v, Access m) {
 // page-granular, so the first offending byte of a range is always the first
 // byte the range touches in the offending page, which is exactly where the
 // segment walk faults too (and nothing in that page is mutated when it does).
-std::uint16_t AddressSpace::read_u16(Addr a, Access m) const {
-  check_alignment(a, 2, false);
-  std::uint8_t b[2];
-  read_bytes(a, b, m);
-  return static_cast<std::uint16_t>(b[0] | (b[1] << 8));
+template <class T>
+bool AddressSpace::try_read_scalar(Addr a, T* out, Access m, Fault* f) const {
+  std::uint8_t b[sizeof(T)];
+  if (!aligned(a, sizeof(T), false, f) || !try_read_bytes(a, b, m, f))
+    return false;
+  T v = 0;
+  for (std::size_t i = sizeof(T); i-- > 0;) v = static_cast<T>((v << 8) | b[i]);
+  *out = v;
+  return true;
 }
 
-std::uint32_t AddressSpace::read_u32(Addr a, Access m) const {
-  check_alignment(a, 4, false);
-  std::uint8_t b[4];
-  read_bytes(a, b, m);
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | b[i];
-  return v;
+template <class T>
+bool AddressSpace::try_write_scalar(Addr a, T v, Access m, Fault* f) {
+  std::uint8_t b[sizeof(T)];
+  for (std::size_t i = 0; i < sizeof(T); ++i)
+    b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  return aligned(a, sizeof(T), true, f) && try_write_bytes(a, b, m, f);
 }
 
-std::uint64_t AddressSpace::read_u64(Addr a, Access m) const {
-  check_alignment(a, 8, false);
-  std::uint8_t b[8];
-  read_bytes(a, b, m);
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | b[i];
-  return v;
+bool AddressSpace::try_read_u16(Addr a, std::uint16_t* out, Access m,
+                                Fault* fault) const {
+  return try_read_scalar(a, out, m, fault);
 }
-
-void AddressSpace::write_u16(Addr a, std::uint16_t v, Access m) {
-  check_alignment(a, 2, true);
-  const std::uint8_t b[2] = {static_cast<std::uint8_t>(v),
-                             static_cast<std::uint8_t>(v >> 8)};
-  write_bytes(a, b, m);
+bool AddressSpace::try_read_u32(Addr a, std::uint32_t* out, Access m,
+                                Fault* fault) const {
+  return try_read_scalar(a, out, m, fault);
 }
-
-void AddressSpace::write_u32(Addr a, std::uint32_t v, Access m) {
-  check_alignment(a, 4, true);
-  std::uint8_t b[4];
-  for (int i = 0; i < 4; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  write_bytes(a, b, m);
+bool AddressSpace::try_read_u64(Addr a, std::uint64_t* out, Access m,
+                                Fault* fault) const {
+  return try_read_scalar(a, out, m, fault);
 }
-
-void AddressSpace::write_u64(Addr a, std::uint64_t v, Access m) {
-  check_alignment(a, 8, true);
-  std::uint8_t b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  write_bytes(a, b, m);
+bool AddressSpace::try_write_u16(Addr a, std::uint16_t v, Access m,
+                                 Fault* fault) {
+  return try_write_scalar(a, v, m, fault);
+}
+bool AddressSpace::try_write_u32(Addr a, std::uint32_t v, Access m,
+                                 Fault* fault) {
+  return try_write_scalar(a, v, m, fault);
+}
+bool AddressSpace::try_write_u64(Addr a, std::uint64_t v, Access m,
+                                 Fault* fault) {
+  return try_write_scalar(a, v, m, fault);
 }
 
 void AddressSpace::read_bytes(Addr a, std::span<std::uint8_t> out,

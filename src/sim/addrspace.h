@@ -65,8 +65,8 @@ struct Page {
   /// Written since the owning space's checkpoint().  The restore() fast path
   /// re-zeroes exactly the dirty pages, so an untouched 64 KiB stack costs
   /// nothing to recycle.  Every mutation funnels through
-  /// AddressSpace::write_u8/write_bytes, the only places that set this, and
-  /// every place that clears it re-zeroes the page first: a clean page is
+  /// AddressSpace::try_write_u8/try_write_bytes, the only places that set
+  /// this, and every place that clears it re-zeroes the page first: a clean page is
   /// all-zero, which is what lets take_page() skip the fill.
   bool dirty = false;
   std::array<std::uint8_t, kPageSize> data{};
@@ -189,13 +189,23 @@ class AddressSpace {
 
   // --- access that returns a fault as a value --------------------------------
   //
-  // The walks behind read_bytes/write_bytes/read_cstr/read_wstr (which are
-  // one-line wrappers that throw what these report).  On a fault each returns
-  // false after storing it in `*fault`, having emitted the same fault event
-  // and left the same partial transfer and kPageWrite points the throwing
-  // form does; the kernel helpers in core::CallContext use them so a bad
-  // pointer never unwinds the host stack.  On a fault `*out` holds the
-  // prefix read so far.
+  // The walks behind every throwing accessor above (each is a one-line
+  // wrapper that throws what these report).  On a fault each returns false
+  // after storing it in `*fault`, having emitted the same fault event and
+  // left the same partial transfer and kPageWrite points the throwing form
+  // does; core::CallContext's task-mode accessors use them so a bad pointer
+  // never unwinds the host stack.  The scalar forms check alignment first,
+  // then transfer; on a fault `*out` is unspecified for them and holds the
+  // prefix read so far for the byte and string walks.
+
+  bool try_read_u8(Addr a, std::uint8_t* out, Access m, Fault* fault) const;
+  bool try_read_u16(Addr a, std::uint16_t* out, Access m, Fault* fault) const;
+  bool try_read_u32(Addr a, std::uint32_t* out, Access m, Fault* fault) const;
+  bool try_read_u64(Addr a, std::uint64_t* out, Access m, Fault* fault) const;
+  bool try_write_u8(Addr a, std::uint8_t v, Access m, Fault* fault);
+  bool try_write_u16(Addr a, std::uint16_t v, Access m, Fault* fault);
+  bool try_write_u32(Addr a, std::uint32_t v, Access m, Fault* fault);
+  bool try_write_u64(Addr a, std::uint64_t v, Access m, Fault* fault);
 
   bool try_read_bytes(Addr a, std::span<std::uint8_t> out, Access m,
                       Fault* fault) const;
@@ -241,7 +251,6 @@ class AddressSpace {
   /// The page an access to `a` touches, or nullptr after recording the
   /// fault the access takes (see fault()).
   Page* try_page(Addr a, Access m, bool write, Fault* f) const;
-  Page* page_for(Addr a, Access m, bool write) const;
   /// The private page with page number `pg`, or nullptr.  Looks in the
   /// one-entry TLB first and refills it on a hit in pages_.
   Page* private_page(Addr pg) const noexcept;
@@ -252,7 +261,11 @@ class AddressSpace {
   Page* fault(FaultType t, Addr a, bool write, Fault* f) const;
   /// False after recording a kMisalignment fault in `*f`.
   bool aligned(Addr a, std::uint64_t size, bool write, Fault* f) const;
-  void check_alignment(Addr a, std::uint64_t size, bool write) const;
+  /// Little-endian scalar transfers: the alignment check, then the byte walk.
+  template <class T>
+  bool try_read_scalar(Addr a, T* out, Access m, Fault* f) const;
+  template <class T>
+  bool try_write_scalar(Addr a, T v, Access m, Fault* f);
   /// A zeroed page, reusing a free-listed one when available.
   std::unique_ptr<Page> take_page();
   void retire_page(std::unique_ptr<Page> p);

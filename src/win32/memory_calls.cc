@@ -181,7 +181,8 @@ CallOutcome heap_block_op(CallContext& ctx, bool free_it, bool size_query) {
   if (!size) {
     if (sim::is_nt_family(ctx.variant())) {
       // The NT RtlHeap walks the header of whatever it is handed.
-      (void)ctx.proc().mem().read_u32(p - 8, sim::Access::kUser);
+      std::uint32_t header = 0;
+      if (!ctx.user_read_u32(p - 8, &header)) return core::faulted();
       return ctx.win_fail(ERR_INVALID_PARAMETER,
                           size_query ? INVALID_HANDLE_VALUE32 : 0);
     }
@@ -216,9 +217,11 @@ CallOutcome do_heap_realloc(CallContext& ctx) {
   auto& mem = ctx.proc().mem();
   const Addr np = mem.alloc(size + 8) + 8;
   const std::uint64_t copy = std::min(*old_size, size);
-  for (std::uint64_t i = 0; i < copy && i < (1 << 20); ++i)
-    mem.write_u8(np + i, mem.read_u8(p + i, sim::Access::kUser),
-                 sim::Access::kUser);
+  for (std::uint64_t i = 0; i < copy && i < (1 << 20); ++i) {
+    std::uint8_t b = 0;
+    if (!ctx.user_read_u8(p + i, &b) || !ctx.user_write_u8(np + i, b))
+      return core::faulted();
+  }
   heap->allocations.erase(p);
   heap->allocations[np] = size;
   return ok(np);
@@ -250,7 +253,8 @@ CallOutcome do_ga_free(CallContext& ctx) {
   if (allocs.erase(p) == 0) {
     if (ctx.os().pointer_policy == sim::PointerPolicy::kStubCheckLoose) {
       // The 9x GlobalFree dereferenced the "handle" to find its header.
-      (void)ctx.proc().mem().read_u32(p, sim::Access::kUser);
+      std::uint32_t header = 0;
+      if (!ctx.user_read_u32(p, &header)) return core::faulted();
       return core::silent_success(0);
     }
     return ctx.win_fail(ERR_INVALID_HANDLE, p);  // returns hMem on failure
@@ -263,7 +267,8 @@ CallOutcome do_ga_lock(CallContext& ctx) {
   auto& allocs = ctx.proc().default_heap()->allocations;
   if (allocs.count(p) == 0) {
     if (ctx.os().pointer_policy == sim::PointerPolicy::kStubCheckLoose) {
-      (void)ctx.proc().mem().read_u32(p, sim::Access::kUser);
+      std::uint32_t header = 0;
+      if (!ctx.user_read_u32(p, &header)) return core::faulted();
       return core::silent_success(p);
     }
     return ctx.win_fail(ERR_INVALID_HANDLE, 0);

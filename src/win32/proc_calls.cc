@@ -338,8 +338,7 @@ CallOutcome interlocked(CallContext& ctx, int op) {
     if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
     return ok(op <= 1 ? nv : v);
   }
-  auto& mem = ctx.proc().mem();
-  v = mem.read_u32(target, sim::Access::kUser);
+  if (!ctx.user_read_u32(target, &v)) return core::faulted();
   std::uint32_t nv = v;
   switch (op) {
     case 0: nv = v + 1; break;
@@ -350,7 +349,7 @@ CallOutcome interlocked(CallContext& ctx, int op) {
       if (v == ctx.arg32(2)) nv = ctx.arg32(1);
       break;
   }
-  mem.write_u32(target, nv, sim::Access::kUser);
+  if (!ctx.user_write_u32(target, nv)) return core::faulted();
   return ok(op <= 1 ? nv : v);
 }
 

@@ -1,6 +1,8 @@
 // Tests for single-case execution and CRASH classification.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "tests/test_util.h"
 
 namespace ballista::core {
@@ -175,6 +177,26 @@ TEST(Executor, ValueFactoriesRunInsideTheFreshTask) {
   const CaseResult r = ex.run_case(mini.mut, tuple);
   EXPECT_EQ(r.outcome, Outcome::kPass);
   EXPECT_FALSE(r.wrong_error);
+}
+
+// run_case catches only the simulator's three exceptions; anything else
+// propagates to its caller, but the mutation window and the leased task
+// must not leak with it.
+TEST(Executor, UncaughtExceptionClosesTheWindowAndReturnsTheTask) {
+  sim::Machine m(OsVariant::kWinNT4);
+  Executor ex(m);
+  MiniMut throws([](CallContext&) -> CallOutcome {
+    throw std::runtime_error("not a simulator exception");
+  });
+  MiniMut fine([](CallContext&) { return ok(0); });
+  EXPECT_THROW(ex.run_case(throws.mut, {}), std::runtime_error);
+  EXPECT_FALSE(m.mutations().window_open());
+  // The next case recycles the task the throwing case leased.
+  const std::uint64_t built = m.processes_built();
+  const std::uint64_t recycled = m.processes_recycled();
+  EXPECT_EQ(ex.run_case(fine.mut, {}).outcome, Outcome::kPass);
+  EXPECT_EQ(m.processes_built(), built);
+  EXPECT_EQ(m.processes_recycled(), recycled + 1);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
-// How a fault a kernel helper takes in the task reaches the classifier.
+// How a fault taken in the task reaches the classifier.
 //
-// Executor::run_case runs a MuT body through ApiImpl::run: the helper records
-// the fault in the CallContext, the body returns CallStatus::kFaulted, and
-// run_case classifies the pending fault.  Every other caller calls
-// `mut.impl(ctx)`, whose call operator delivers the pending fault as
+// Executor::run_case runs a MuT body through ApiImpl::run: a kernel helper
+// or task-mode accessor records the fault in the CallContext, the body
+// returns CallStatus::kFaulted, and run_case classifies the pending fault.
+// No body lets a sim::SimFault escape run() any more.  Every other caller
+// calls `mut.impl(ctx)`, whose call operator delivers the pending fault as
 // sim::SimFault.  The differential sweep runs the first tuples of every MuT
 // on every variant both ways, on two machines in lockstep, and requires the
 // same CaseResult, the same counters and the same event ring; a body with a
@@ -88,25 +89,44 @@ TEST_P(FaultDelivery, RunCaseMatchesTheThrowingReference) {
   Executor executor(real_machine);
   std::uint64_t pending_faults = 0;
   for (const MuT* mut : shared_world().registry.for_variant(v)) {
+    std::uint64_t i = 0;
     // The same MuT, with a body that checks what the real one returned.
     MuT checked = *mut;
-    checked.impl = [mut, &real_machine,
+    checked.impl = [mut, &i, &real_machine,
                     &pending_faults](CallContext& ctx) -> CallOutcome {
-      const CallOutcome out = mut->impl.run(ctx);
+      const std::string where = mut->name + " case " + std::to_string(i);
+      trace::TraceSink& sink = real_machine.trace();
+      const trace::Counters before = sink.counters();
+      CallOutcome out;
+      try {
+        out = mut->impl.run(ctx);
+      } catch (const sim::SimFault& f) {
+        ADD_FAILURE() << where << ": SimFault escaped run(): " << f.what();
+        throw;
+      }
       if (ctx.pending_fault()) {
         ++pending_faults;
-        EXPECT_EQ(out.status, CallStatus::kFaulted) << mut->name;
-        const auto last = real_machine.trace().tail(1);
-        EXPECT_TRUE(!last.empty() && last[0].kind == trace::EventKind::kFault)
-            << mut->name << ": events after the fault";
+        EXPECT_EQ(out.status, CallStatus::kFaulted) << where;
+        const trace::Counters emitted = sink.counters() - before;
+        if (emitted[trace::EventKind::kFault] == 0) {
+          // A fatal signal the task sent itself (deliver_fault) has no
+          // fault event: it must have been the body's only effect.
+          EXPECT_TRUE(emitted == trace::Counters{}) << where;
+        } else {
+          const auto last = sink.tail(1);
+          EXPECT_TRUE(!last.empty() &&
+                      last[0].kind == trace::EventKind::kFault &&
+                      last[0].fault.addr == ctx.pending_fault()->address)
+              << where << ": events after the fault";
+        }
       } else {
-        EXPECT_NE(out.status, CallStatus::kFaulted) << mut->name;
+        EXPECT_NE(out.status, CallStatus::kFaulted) << where;
       }
       return out;
     };
     const TupleGenerator gen(*mut);
     const std::uint64_t n = std::min(gen.count(), kTuplesPerMut);
-    for (std::uint64_t i = 0; i < n; ++i) {
+    for (; i < n; ++i) {
       const auto tuple = gen.tuple(i);
       const auto idx = static_cast<std::int64_t>(i);
       std::vector<trace::TraceEvent> ring_tail;
@@ -140,14 +160,9 @@ TEST_P(FaultDelivery, RunCaseMatchesTheThrowingReference) {
       }
     }
   }
-  // The Win32 personalities whose kernel helpers raise into the task
-  // (NT/2000/CE probe-and-raise, Win9x stubs on subtle garbage) must
-  // exercise the value path at all; Linux returns EFAULT instead.
-  if (sim::personality_for(v).pointer_policy !=
-      sim::PointerPolicy::kProbeReturnError)
-    EXPECT_GT(pending_faults, 0u);
-  else
-    EXPECT_EQ(pending_faults, 0u);
+  // Every variant takes faults in the task (the C library dereferences raw
+  // pointers everywhere), so every variant exercises the value path.
+  EXPECT_GT(pending_faults, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

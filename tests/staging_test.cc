@@ -203,6 +203,10 @@ Observed run_on(sim::OsVariant v, const Layout& l,
   try {
     machine.kernel_enter();
     o.out = body(ctx);
+    if (ctx.pending_fault()) {
+      o.faulted = true;
+      o.fault = *ctx.pending_fault();
+    }
   } catch (const sim::SimFault& f) {
     o.faulted = true;
     o.fault = f.fault();
@@ -271,16 +275,15 @@ core::CallOutcome ref_fwrite(core::CallContext& ctx) {
   const Addr ptr = ctx.arg_addr(0);
   const std::uint64_t size = ctx.arg(1), n = ctx.arg(2);
   const clib::FileRef ref = clib::resolve_file(ctx, ctx.arg_addr(3));
-  if (ref.status != clib::FileRef::Status::kOk)
-    return core::error_reported(0);
+  if (ref.status != clib::FileRef::Status::kOk) return ref.failure(0);
   if (size == 0 || n == 0) return core::ok(0);
   if ((ref.flags & clib::kFWrite) == 0) return core::error_reported(0);
   const std::uint64_t total = std::min(size * n, kCap);
   std::vector<std::uint8_t> data(total);
-  if (ctx.hazard() != core::CrashStyle::kNone)
-    (void)ctx.k_read(ptr, data);
-  else
+  if (ctx.hazard() == core::CrashStyle::kNone)
     data = gather_bytewise(ctx, ptr, total);
+  else if (ctx.k_read(ptr, data) == core::MemStatus::kFault)
+    return core::faulted();
   ref.obj->write_at(data);
   return core::ok(total / size);
 }
@@ -289,15 +292,14 @@ core::CallOutcome ref_fread(core::CallContext& ctx) {
   const Addr ptr = ctx.arg_addr(0);
   const std::uint64_t size = ctx.arg(1), n = ctx.arg(2);
   const clib::FileRef ref = clib::resolve_file(ctx, ctx.arg_addr(3));
-  if (ref.status != clib::FileRef::Status::kOk)
-    return core::error_reported(0);
+  if (ref.status != clib::FileRef::Status::kOk) return ref.failure(0);
   if (size == 0 || n == 0) return core::ok(0);
   std::vector<std::uint8_t> data(std::min(size * n, kCap));
   data.resize(ref.obj->read_at(data));
-  if (ctx.hazard() != core::CrashStyle::kNone)
-    (void)ctx.k_write(ptr, data);
-  else
+  if (ctx.hazard() == core::CrashStyle::kNone)
     scatter_bytewise(ctx, ptr, data);
+  else if (ctx.k_write(ptr, data) == core::MemStatus::kFault)
+    return core::faulted();
   return core::ok(data.size() / size);
 }
 
