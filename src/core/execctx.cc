@@ -112,7 +112,7 @@ MemStatus CallContext::kernel_read(sim::Addr a, std::span<std::uint8_t> out) {
   sim::Fault f;
   if (proc_.mem().try_read_bytes(a, out, sim::Access::kKernel, &f))
     return MemStatus::kOk;
-  fail(f);
+  record_fault(f);
   return MemStatus::kFault;
 }
 
@@ -121,28 +121,30 @@ MemStatus CallContext::kernel_write(sim::Addr a,
   sim::Fault f;
   if (proc_.mem().try_write_bytes(a, in, sim::Access::kKernel, &f))
     return MemStatus::kOk;
-  fail(f);
+  record_fault(f);
   return MemStatus::kFault;
 }
 
-bool CallContext::fail(const sim::Fault& f) {
+bool CallContext::record_fault(const sim::Fault& f) {
   if (!fault_) fault_ = f;
   return false;
 }
 
 CallOutcome CallContext::deliver_fault(const sim::Fault& f) {
-  fail(f);
+  record_fault(f);
   return faulted();
 }
 
 bool CallContext::user_read(sim::Addr a, std::span<std::uint8_t> out) {
   sim::Fault f;
-  return proc_.mem().try_read_bytes(a, out, sim::Access::kUser, &f) || fail(f);
+  return proc_.mem().try_read_bytes(a, out, sim::Access::kUser, &f) ||
+         record_fault(f);
 }
 
 bool CallContext::user_write(sim::Addr a, std::span<const std::uint8_t> in) {
   sim::Fault f;
-  return proc_.mem().try_write_bytes(a, in, sim::Access::kUser, &f) || fail(f);
+  return proc_.mem().try_write_bytes(a, in, sim::Access::kUser, &f) ||
+         record_fault(f);
 }
 
 bool CallContext::user_write_cstr(sim::Addr a, std::string_view s) {
@@ -153,42 +155,50 @@ bool CallContext::user_write_cstr(sim::Addr a, std::string_view s) {
 
 bool CallContext::user_read_u8(sim::Addr a, std::uint8_t* v) {
   sim::Fault f;
-  return proc_.mem().try_read_u8(a, v, sim::Access::kUser, &f) || fail(f);
+  return proc_.mem().try_read_u8(a, v, sim::Access::kUser, &f) ||
+         record_fault(f);
 }
 
 bool CallContext::user_read_u16(sim::Addr a, std::uint16_t* v) {
   sim::Fault f;
-  return proc_.mem().try_read_u16(a, v, sim::Access::kUser, &f) || fail(f);
+  return proc_.mem().try_read_u16(a, v, sim::Access::kUser, &f) ||
+         record_fault(f);
 }
 
 bool CallContext::user_read_u32(sim::Addr a, std::uint32_t* v) {
   sim::Fault f;
-  return proc_.mem().try_read_u32(a, v, sim::Access::kUser, &f) || fail(f);
+  return proc_.mem().try_read_u32(a, v, sim::Access::kUser, &f) ||
+         record_fault(f);
 }
 
 bool CallContext::user_read_u64(sim::Addr a, std::uint64_t* v) {
   sim::Fault f;
-  return proc_.mem().try_read_u64(a, v, sim::Access::kUser, &f) || fail(f);
+  return proc_.mem().try_read_u64(a, v, sim::Access::kUser, &f) ||
+         record_fault(f);
 }
 
 bool CallContext::user_write_u8(sim::Addr a, std::uint8_t v) {
   sim::Fault f;
-  return proc_.mem().try_write_u8(a, v, sim::Access::kUser, &f) || fail(f);
+  return proc_.mem().try_write_u8(a, v, sim::Access::kUser, &f) ||
+         record_fault(f);
 }
 
 bool CallContext::user_write_u16(sim::Addr a, std::uint16_t v) {
   sim::Fault f;
-  return proc_.mem().try_write_u16(a, v, sim::Access::kUser, &f) || fail(f);
+  return proc_.mem().try_write_u16(a, v, sim::Access::kUser, &f) ||
+         record_fault(f);
 }
 
 bool CallContext::user_write_u32(sim::Addr a, std::uint32_t v) {
   sim::Fault f;
-  return proc_.mem().try_write_u32(a, v, sim::Access::kUser, &f) || fail(f);
+  return proc_.mem().try_write_u32(a, v, sim::Access::kUser, &f) ||
+         record_fault(f);
 }
 
 bool CallContext::user_write_u64(sim::Addr a, std::uint64_t v) {
   sim::Fault f;
-  return proc_.mem().try_write_u64(a, v, sim::Access::kUser, &f) || fail(f);
+  return proc_.mem().try_write_u64(a, v, sim::Access::kUser, &f) ||
+         record_fault(f);
 }
 
 MemStatus CallContext::read_user(sim::Addr a, std::span<std::uint8_t> out) {
@@ -205,7 +215,7 @@ MemStatus CallContext::read_user_str(sim::Addr a, std::string* out,
   sim::Fault f;
   if (proc_.mem().try_read_cstr(a, max_len, sim::Access::kUser, out, &f))
     return MemStatus::kOk;
-  fail(f);
+  record_fault(f);
   return MemStatus::kFault;
 }
 
@@ -214,7 +224,7 @@ MemStatus CallContext::read_user_str(sim::Addr a, std::u16string* out,
   sim::Fault f;
   if (proc_.mem().try_read_wstr(a, max_len, sim::Access::kUser, out, &f))
     return MemStatus::kOk;
-  fail(f);
+  record_fault(f);
   return MemStatus::kFault;
 }
 

@@ -161,8 +161,8 @@ class CallContext {
   MemStatus read_user_str(sim::Addr a, std::u16string* out,
                           std::size_t max_len);
   /// Makes `f` the pending fault (the first one stays) and returns false,
-  /// so an accessor can end in `return try_...(...) || fail(f);`.
-  bool fail(const sim::Fault& f);
+  /// so an accessor can end in `return try_...(...) || record_fault(f);`.
+  bool record_fault(const sim::Fault& f);
 
   sim::Machine& machine_;
   sim::SimProcess& proc_;

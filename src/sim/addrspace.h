@@ -66,8 +66,8 @@ struct Page {
   /// re-zeroes exactly the dirty pages, so an untouched 64 KiB stack costs
   /// nothing to recycle.  Every mutation funnels through
   /// AddressSpace::try_write_u8/try_write_bytes, the only places that set
-  /// this, and every place that clears it re-zeroes the page first: a clean page is
-  /// all-zero, which is what lets take_page() skip the fill.
+  /// this, and every place that clears it re-zeroes the page first: a clean
+  /// page is all-zero, which is what lets take_page() skip the fill.
   bool dirty = false;
   std::array<std::uint8_t, kPageSize> data{};
 };
